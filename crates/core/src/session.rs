@@ -44,7 +44,7 @@ use hft_uls::scrape::{run_pipeline, FunnelReport, ScrapeConfig};
 use hft_uls::{License, UlsDatabase, UlsPortal};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Licenses grouped by licensee, with each licensee's sorted lifecycle
 /// event dates — the epoch table.
@@ -390,7 +390,7 @@ pub struct AnalysisSession<'a> {
     index: LicenseIndex,
     corpus: Corpus<'a>,
     options: ReconstructOptions,
-    networks: Mutex<HashMap<NetKey, Arc<Network>>>,
+    networks: Mutex<HashMap<NetKey, Arc<OnceLock<Arc<Network>>>>>,
     graphs: Mutex<HashMap<PairKey, Arc<RoutingGraph>>>,
     routes: Mutex<HashMap<PairKey, Option<Arc<Route>>>>,
     apas: Mutex<HashMap<PairKey, Option<f64>>>,
@@ -511,29 +511,32 @@ impl<'a> AnalysisSession<'a> {
     pub fn network(&self, licensee: &str, date: Date) -> Arc<Network> {
         let epoch = self.epoch(licensee, date);
         let key = self.net_key(licensee, epoch);
-        if let Some(hit) = self.networks.lock().expect("network cache").get(&key) {
+        // One slot per key; the reconstruction runs inside the slot's
+        // once-cell, outside the map lock, so concurrent cold callers of
+        // one key wait for it while other keys proceed. A panicking
+        // reconstruction leaves the slot empty for the next caller.
+        let slot = Arc::clone(
+            self.networks
+                .lock()
+                .expect("network cache")
+                .entry(key)
+                .or_default(),
+        );
+        let mut built = false;
+        let net = slot.get_or_init(|| {
+            built = true;
+            let _span = hft_obs::span("session.network");
+            let started = std::time::Instant::now();
+            let as_of = self.index.epoch_start(licensee, epoch);
+            let net = reconstruct(&self.licenses_of(licensee), licensee, as_of, &self.options);
+            self.stats
+                .reconstruction(started.elapsed().as_nanos() as u64);
+            Arc::new(net)
+        });
+        if !built {
             self.stats.network_hit();
-            return Arc::clone(hit);
         }
-        // Reconstruct outside the lock: epochs are deterministic, so a
-        // racing duplicate insert is identical and harmless.
-        let _span = hft_obs::span("session.network");
-        let started = std::time::Instant::now();
-        let as_of = self.index.epoch_start(licensee, epoch);
-        let net = Arc::new(reconstruct(
-            &self.licenses_of(licensee),
-            licensee,
-            as_of,
-            &self.options,
-        ));
-        self.stats
-            .reconstruction(started.elapsed().as_nanos() as u64);
-        self.networks
-            .lock()
-            .expect("network cache")
-            .entry(key)
-            .or_insert(net.clone());
-        net
+        Arc::clone(net)
     }
 
     /// The network of `licensee` restamped with the exact `date` — for
@@ -961,6 +964,42 @@ mod tests {
         assert_eq!(s.stats().reconstructions, 2);
         let empty: Vec<u8> = Vec::new();
         assert!(s.par_map(empty, |x: u8| x).is_empty());
+    }
+
+    #[test]
+    fn concurrent_cold_network_calls_reconstruct_once() {
+        let lics = chain_licenses("Net", d(2015, 6, 1), None, 25, 1);
+        let s = AnalysisSession::over(&lics);
+        let barrier = std::sync::Barrier::new(2);
+        let nets: Vec<Arc<Network>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        s.network("Net", d(2020, 4, 1))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&nets[0], &nets[1]), "one shared snapshot");
+        let stats = s.stats();
+        assert_eq!(stats.reconstructions, 1);
+        assert_eq!(stats.network_hits, 1);
+    }
+
+    #[test]
+    fn panicking_reconstruction_leaves_the_slot_retryable() {
+        let lics = chain_licenses("Net", d(2015, 6, 1), None, 5, 1);
+        let s = AnalysisSession::over(&lics);
+        let key = s.net_key("Net", s.epoch("Net", d(2020, 4, 1)));
+        let slot = Arc::clone(s.networks.lock().unwrap().entry(key).or_default());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slot.get_or_init(|| panic!("injected reconstruction failure"));
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(s.network("Net", d(2020, 4, 1)).tower_count(), 5);
+        assert_eq!(s.stats().reconstructions, 1);
     }
 
     #[test]

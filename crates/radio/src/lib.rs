@@ -45,4 +45,7 @@ pub use bands::{Band, BandPlan, Channel, GHZ, MHZ};
 pub use climate::{link_annual_availability, path_annual_availability, RainClimate};
 pub use linkbudget::{fade_margin_db, free_space_path_loss_db, LinkBudget};
 pub use multipath::multipath_outage_probability;
-pub use rain::{effective_path_length_km, rain_attenuation_db, specific_attenuation_db_per_km};
+pub use rain::{
+    effective_path_length_km, rain_attenuation_db, rain_coefficients,
+    specific_attenuation_db_per_km,
+};

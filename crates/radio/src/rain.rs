@@ -22,14 +22,13 @@ const COEFFS: [(f64, f64, f64); 9] = [
     (25.0, 0.1571, 1.0000),
 ];
 
-/// Specific rain attenuation `γ` in dB/km at `freq_ghz` for rain rate
-/// `rain_mm_h` (mm/h). Clamps frequency to the table range `[1, 25]` GHz.
+/// The power-law coefficients `(k, α)` of `γ = k·Rᵅ` at `freq_ghz`,
+/// interpolated from the table (log-k and α linear in log-f). Clamps
+/// frequency to the table range `[1, 25]` GHz.
 ///
-/// Zero or negative rain rate yields zero attenuation.
-pub fn specific_attenuation_db_per_km(freq_ghz: f64, rain_mm_h: f64) -> f64 {
-    if rain_mm_h <= 0.0 {
-        return 0.0;
-    }
+/// They depend on frequency alone, so a caller evaluating one link under
+/// many rain rates computes them once.
+pub fn rain_coefficients(freq_ghz: f64) -> (f64, f64) {
     let f = freq_ghz.clamp(COEFFS[0].0, COEFFS[COEFFS.len() - 1].0);
     // Locate bracketing rows.
     let mut i = 0;
@@ -45,6 +44,18 @@ pub fn specific_attenuation_db_per_km(freq_ghz: f64, rain_mm_h: f64) -> f64 {
     };
     let k = (k0.ln() + t * (k1.ln() - k0.ln())).exp();
     let alpha = a0 + t * (a1 - a0);
+    (k, alpha)
+}
+
+/// Specific rain attenuation `γ` in dB/km at `freq_ghz` for rain rate
+/// `rain_mm_h` (mm/h), from [`rain_coefficients`].
+///
+/// Zero or negative rain rate yields zero attenuation.
+pub fn specific_attenuation_db_per_km(freq_ghz: f64, rain_mm_h: f64) -> f64 {
+    if rain_mm_h <= 0.0 {
+        return 0.0;
+    }
+    let (k, alpha) = rain_coefficients(freq_ghz);
     k * rain_mm_h.powf(alpha)
 }
 
@@ -124,6 +135,36 @@ mod tests {
         let hi = specific_attenuation_db_per_km(40.0, 30.0);
         let at25 = specific_attenuation_db_per_km(25.0, 30.0);
         assert!((hi - at25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn specific_attenuation_is_the_coefficient_power_law_bit_for_bit() {
+        // Every table row, points between rows, both clamp edges and
+        // beyond them, under light to violent rain.
+        let mut freqs: Vec<f64> = COEFFS.iter().map(|row| row.0).collect();
+        freqs.extend(COEFFS.windows(2).map(|w| (w[0].0 + w[1].0) / 2.0));
+        freqs.extend([0.0, 0.5, 0.999, 1.001, 6.2, 11.2, 24.999, 25.001, 40.0]);
+        for f in freqs {
+            let (k, alpha) = rain_coefficients(f);
+            for r in [1e-9, 0.1, 1.0, 7.5, 18.0, 42.0, 100.0, 150.0] {
+                assert_eq!(
+                    specific_attenuation_db_per_km(f, r).to_bits(),
+                    (k * r.powf(alpha)).to_bits(),
+                    "f={f} r={r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn coefficients_reproduce_table_rows_and_clamp() {
+        for (f, k, alpha) in COEFFS {
+            let (gk, ga) = rain_coefficients(f);
+            assert!((gk - k).abs() <= k * 1e-12, "k at {f}: {gk} vs {k}");
+            assert!((ga - alpha).abs() < 1e-12, "α at {f}: {ga} vs {alpha}");
+        }
+        assert_eq!(rain_coefficients(0.5), rain_coefficients(1.0));
+        assert_eq!(rain_coefficients(40.0), rain_coefficients(25.0));
     }
 
     #[test]

@@ -237,9 +237,11 @@ impl<'a> Service<'a> {
                     let net = self.session.network(licensee, *date);
                     let rg = self.session.routing_graph(licensee, *date, a, b);
                     let sampler = WeatherSampler::stormy_season();
-                    match weather::conditional_latency_on(
-                        &rg, &net, a, b, &sampler, *samples, *seed,
-                    ) {
+                    let outcome = {
+                        let _span = hft_obs::child_span("weather.mc");
+                        weather::conditional_latency_on(&rg, &net, a, b, &sampler, *samples, *seed)
+                    };
+                    match outcome {
                         None => err(format!("{licensee}: no route {from}->{to}")),
                         Some(o) => Response::Weather {
                             clear_ms: o.clear_ms,

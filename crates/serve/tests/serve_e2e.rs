@@ -18,9 +18,9 @@ fn paper_date() -> Date {
 }
 
 /// Satellite check: N threads issuing the same *cold* request must
-/// observe exactly one underlying session computation. The session's own
-/// cache cannot provide this (it deliberately computes outside its
-/// locks); the single-flight layer must.
+/// observe exactly one underlying session computation, and the
+/// single-flight layer must account for every request as led or
+/// coalesced.
 #[test]
 fn concurrent_cold_requests_reconstruct_once() {
     let eco = eco();
