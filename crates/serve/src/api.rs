@@ -1,321 +1,351 @@
 //! The typed query surface: every request the service answers and every
-//! response it produces, with the JSON mapping used on the wire.
+//! response it produces, each described once in a wire table.
 //!
 //! The variants cover the paper's query mix end to end — the §2.1 portal
 //! searches, the §2.2 shortlist funnel, snapshot reconstruction
-//! ([`Request::Network`]), per-pair route/APA (Tables 1–3), and the §5
-//! weather Monte Carlo — plus `stats` (observability) and `shutdown`
-//! (graceful drain). Encoding is deterministic: one canonical key order
-//! per variant, so two encodings of equal values are byte-identical and
-//! the load harness can diff served bytes against locally computed ones.
+//! ([`Request::Network`]), per-pair route/APA (Tables 1–3), the §5
+//! weather Monte Carlo and the §6 cross-substrate race — plus `stats`,
+//! `metrics` and `traces` (observability) and `shutdown` (graceful
+//! drain).
+//!
+//! Each table row gives a variant's JSON `type` name, its 0xB7 tag byte
+//! and its fields in wire order; `schema.rs` generates the enums, their
+//! JSON codec (here, as `to_json`/`from_json`/`encode`/`decode`) and
+//! their binary body codec (framed by [`crate::binwire`]) from it.
+//! Encoding is deterministic: one canonical key order per variant, so
+//! two encodings of equal values are byte-identical and the load harness
+//! can diff served bytes against locally computed ones.
+//!
+//! Adding a variant takes one table row (with an unused tag byte), one
+//! golden vector in `tests/golden_wire.rs` (whose exhaustive match will
+//! not compile until it exists) and one generator in
+//! `tests/codec_strategies` for the round-trip proptests.
 
-use crate::json::{self, Json};
+use crate::json::Json;
+use crate::schema::{wire_enum, wire_struct, At, Codec, Latency};
+use crate::stats::ServeSnapshot;
+use hft_core::session::StatsSnapshot;
 use hft_time::Date;
 
-/// A query, as submitted by a client (wire) or caller (in-process).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// §2.1 "Geographic Search": license ids with any site within
-    /// `radius_km` of a point.
-    Geographic {
-        /// Search-center latitude, degrees.
-        lat_deg: f64,
-        /// Search-center longitude, degrees.
-        lon_deg: f64,
-        /// Search radius, km.
-        radius_km: f64,
-    },
-    /// §2.1 "Site License Search": license ids by service + class code.
-    SiteSearch {
-        /// Radio service code (e.g. `MG`).
-        service: String,
-        /// Station class code (e.g. `FXO`).
-        class: String,
-    },
-    /// §2.2 scrape funnel: the shortlist around a reference point.
-    Shortlist {
-        /// Reference latitude, degrees.
-        lat_deg: f64,
-        /// Reference longitude, degrees.
-        lon_deg: f64,
-        /// Geographic-search radius, km.
-        radius_km: f64,
-        /// Minimum filings to stay shortlisted.
-        min_filings: usize,
-    },
-    /// A licensee's reconstructed network summary as of a date.
-    Network {
-        /// Licensee name (exact).
-        licensee: String,
-        /// As-of date.
-        date: Date,
-    },
-    /// Lowest-latency route between two data centers as of a date.
-    Route {
-        /// Licensee name.
-        licensee: String,
-        /// As-of date.
-        date: Date,
-        /// Origin data-center code (`CME`, `NY4`, `NYSE`, `NASDAQ`).
-        from: String,
-        /// Destination data-center code.
-        to: String,
-    },
-    /// Alternate path availability between two data centers.
-    Apa {
-        /// Licensee name.
-        licensee: String,
-        /// As-of date.
-        date: Date,
-        /// Origin data-center code.
-        from: String,
-        /// Destination data-center code.
-        to: String,
-    },
-    /// The §5 weather Monte Carlo (stormy-season sampler).
-    Weather {
-        /// Licensee name.
-        licensee: String,
-        /// As-of date.
-        date: Date,
-        /// Origin data-center code.
-        from: String,
-        /// Destination data-center code.
-        to: String,
-        /// Weather states to sample.
-        samples: usize,
-        /// RNG seed (deterministic outcomes per seed).
-        seed: u64,
-    },
-    /// A cross-substrate latency race between two data centers: the
-    /// licensee's corpus-reconstructed microwave route vs fiber vs a
-    /// LEO constellation vs the vacuum geodesic limit, with
-    /// weather-adjusted availability windows on the microwave leg.
-    Race {
-        /// Licensee whose corpus network runs the microwave leg.
-        licensee: String,
-        /// As-of date.
-        date: Date,
-        /// Origin data-center code.
-        from: String,
-        /// Destination data-center code.
-        to: String,
-        /// LEO constellation name (`starlink`).
-        constellation: String,
-        /// Weather states to sample on the microwave leg.
-        samples: usize,
-        /// RNG seed (deterministic outcomes per seed).
-        seed: u64,
-    },
-    /// Sweep the standard segment set (corridor pairs + the §6
-    /// transoceanic segments) and reduce each race to stretch factors
-    /// vs the vacuum bound — the input of the stretch-CDF figure.
-    StretchSweep {
-        /// Licensee whose corpus network runs the corridor microwave legs.
-        licensee: String,
-        /// As-of date.
-        date: Date,
-        /// LEO constellation name (`starlink`).
-        constellation: String,
-    },
-    /// Server + session counters.
-    Stats,
-    /// The full process-wide telemetry registry (counters, gauges,
-    /// latency histograms) in its deterministic JSON form.
-    Metrics,
-    /// Captured request traces from the flight recorder: the slowest
-    /// `limit` records, or one exact trace by id.
-    Traces {
-        /// Maximum records to return (slowest first).
-        limit: usize,
-        /// Fetch one specific trace instead of the slowest set.
-        trace_id: Option<u128>,
-    },
-    /// Graceful shutdown: stop accepting, drain, dump stats.
-    Shutdown,
-}
-
-/// An answer. `Error` carries a human-readable reason; `Overloaded` is
-/// the admission-queue backpressure rejection (never an error in the
-/// protocol sense — the client may retry).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// License ids, in portal result order.
-    Licenses {
-        /// Matching license ids.
-        ids: Vec<u64>,
-    },
-    /// The §2.2 funnel outcome.
-    Shortlist {
-        /// Licensees with any license in the search region.
-        geographic_candidates: u64,
-        /// Licensees surviving the MG/FXO filter.
-        service_filtered: u64,
-        /// Licensees surviving the volume filter.
-        shortlisted: u64,
-        /// The shortlisted names, sorted.
-        names: Vec<String>,
-    },
-    /// Network summary (counts, not the full graph — use the CLI's YAML
-    /// dump for geometry).
-    Network {
-        /// Licensee name.
-        licensee: String,
-        /// The exact requested as-of date.
-        as_of: Date,
-        /// Towers in the reconstructed network.
-        towers: u64,
-        /// Microwave links.
-        links: u64,
-        /// Licenses active on the as-of date.
-        active_licenses: u64,
-    },
-    /// Route answer; all fields `None` when not connected.
-    Route {
-        /// One-way latency, ms.
-        latency_ms: Option<f64>,
-        /// Towers traversed.
-        towers: Option<u64>,
-        /// Total path length, m.
-        length_m: Option<f64>,
-    },
-    /// APA answer; `None` when not connected.
-    Apa {
-        /// Alternate-path availability, fraction.
-        apa: Option<f64>,
-    },
-    /// Weather Monte Carlo outcome. Percentiles can be `+∞` (encoded as
-    /// JSON `null`) when the network is down in that tail.
-    Weather {
-        /// Clear-sky latency, ms.
-        clear_ms: f64,
-        /// Median conditional latency, ms.
-        p50_ms: f64,
-        /// 95th-percentile conditional latency, ms.
-        p95_ms: f64,
-        /// 99th-percentile conditional latency, ms.
-        p99_ms: f64,
-        /// Fraction of states with the network connected.
-        availability: f64,
-        /// States sampled.
-        samples: u64,
-    },
-    /// One cross-substrate race. All latencies are one-way ms; the
-    /// `wx_*` fields are the §5 weather Monte Carlo on the microwave
-    /// leg — when no corpus route exists (`microwave_ms` is `null`) the
-    /// weather block degrades to `wx_samples == 0`, availability `0`,
-    /// and `+∞` percentiles (encoded as JSON `null`).
-    Race {
-        /// Origin data-center code.
-        from: String,
-        /// Destination data-center code.
-        to: String,
-        /// Constellation raced on the LEO leg.
-        constellation: String,
-        /// Geodesic distance, km.
-        geodesic_km: f64,
-        /// Vacuum geodesic limit, ms.
-        c_bound_ms: f64,
-        /// Corpus microwave leg, ms (`None` when unroutable).
-        microwave_ms: Option<f64>,
-        /// Fiber leg, ms.
-        fiber_ms: f64,
-        /// LEO leg, ms (`None` when the constellation cannot route it).
-        leo_ms: Option<f64>,
-        /// Inter-satellite hops on the LEO leg.
-        leo_isl_hops: Option<u64>,
-        /// Microwave stretch factor vs the vacuum bound.
-        mw_stretch: Option<f64>,
-        /// Fiber stretch factor.
-        fiber_stretch: f64,
-        /// LEO stretch factor.
-        leo_stretch: Option<f64>,
-        /// The winning substrate (`microwave`, `LEO` or `fiber`).
-        winner: String,
-        /// Clear-sky microwave latency, ms (`+∞` when no weather run).
-        wx_clear_ms: f64,
-        /// Median weather-conditional latency, ms.
-        wx_p50_ms: f64,
-        /// 95th-percentile weather-conditional latency, ms.
-        wx_p95_ms: f64,
-        /// 99th-percentile weather-conditional latency, ms.
-        wx_p99_ms: f64,
-        /// Fraction of weather states with the microwave leg connected.
-        wx_availability: f64,
-        /// Weather states sampled (`0` when no weather run).
-        wx_samples: u64,
-    },
-    /// The stretch-factor sweep, one entry per swept segment.
-    StretchSweep {
-        /// Swept segments in deterministic order.
-        entries: Vec<SweepEntry>,
-    },
-    /// Serve + session counters.
-    Stats {
-        /// The serving layer's counters.
-        serve: crate::stats::ServeSnapshot,
-        /// The analysis session's cache counters.
-        session: hft_core::session::StatsSnapshot,
-    },
-    /// The telemetry registry snapshot, as the deterministic JSON object
-    /// `{"counters":{...},"gauges":{...},"histograms":{...}}` rendered
-    /// by `hft_obs::expo::render_json`.
-    Metrics {
-        /// The registry object (sorted names, fixed summary key order).
-        registry: Json,
-    },
-    /// Flight-recorder traces, slowest first.
-    Traces {
-        /// The captured traces.
-        traces: Vec<WireTrace>,
-    },
-    /// The request could not be served (unknown licensee field values,
-    /// malformed frame, bad date, ...).
-    Error {
-        /// Why.
-        message: String,
-    },
-    /// Admission queue full — backpressure, retry later.
-    Overloaded,
-    /// Acknowledgement of [`Request::Shutdown`].
-    ShuttingDown,
-}
-
-/// One [`Response::StretchSweep`] segment, reduced to stretch factors
-/// vs the vacuum geodesic bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepEntry {
-    /// Segment name, `FROM-TO`.
-    pub pair: String,
-    /// Geodesic distance, km.
-    pub geodesic_km: f64,
-    /// Microwave stretch (`None` when unroutable/infeasible).
-    pub mw_stretch: Option<f64>,
-    /// Fiber stretch.
-    pub fiber_stretch: f64,
-    /// LEO stretch (`None` when unroutable).
-    pub leo_stretch: Option<f64>,
-}
-
-impl SweepEntry {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("pair".into(), s(&self.pair)),
-            ("geodesic_km".into(), n(self.geodesic_km)),
-            ("mw_stretch".into(), opt_n(self.mw_stretch)),
-            ("fiber_stretch".into(), n(self.fiber_stretch)),
-            ("leo_stretch".into(), opt_n(self.leo_stretch)),
-        ])
+wire_enum! {
+    /// A query, as submitted by a client (wire) or caller (in-process).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request ("request") {
+        /// §2.1 "Geographic Search": license ids with any site within
+        /// `radius_km` of a point.
+        Geographic = "geographic", REQ_GEOGRAPHIC = 0x01 {
+            /// Search-center latitude, degrees.
+            lat_deg: f64,
+            /// Search-center longitude, degrees.
+            lon_deg: f64,
+            /// Search radius, km.
+            radius_km: f64,
+        },
+        /// §2.1 "Site License Search": license ids by service + class code.
+        SiteSearch = "site_search", REQ_SITE_SEARCH = 0x02 {
+            /// Radio service code (e.g. `MG`).
+            service: String,
+            /// Station class code (e.g. `FXO`).
+            class: String,
+        },
+        /// §2.2 scrape funnel: the shortlist around a reference point.
+        Shortlist = "shortlist", REQ_SHORTLIST = 0x03 {
+            /// Reference latitude, degrees.
+            lat_deg: f64,
+            /// Reference longitude, degrees.
+            lon_deg: f64,
+            /// Geographic-search radius, km.
+            radius_km: f64,
+            /// Minimum filings to stay shortlisted.
+            min_filings: usize,
+        },
+        /// A licensee's reconstructed network summary as of a date.
+        Network = "network", REQ_NETWORK = 0x04 {
+            /// Licensee name (exact).
+            licensee: String,
+            /// As-of date.
+            date: Date,
+        },
+        /// Lowest-latency route between two data centers as of a date.
+        Route = "route", REQ_ROUTE = 0x05 {
+            /// Licensee name.
+            licensee: String,
+            /// As-of date.
+            date: Date,
+            /// Origin data-center code (`CME`, `NY4`, `NYSE`, `NASDAQ`).
+            from: String,
+            /// Destination data-center code.
+            to: String,
+        },
+        /// Alternate path availability between two data centers.
+        Apa = "apa", REQ_APA = 0x06 {
+            /// Licensee name.
+            licensee: String,
+            /// As-of date.
+            date: Date,
+            /// Origin data-center code.
+            from: String,
+            /// Destination data-center code.
+            to: String,
+        },
+        /// The §5 weather Monte Carlo (stormy-season sampler).
+        Weather = "weather", REQ_WEATHER = 0x07 {
+            /// Licensee name.
+            licensee: String,
+            /// As-of date.
+            date: Date,
+            /// Origin data-center code.
+            from: String,
+            /// Destination data-center code.
+            to: String,
+            /// Weather states to sample.
+            samples: usize,
+            /// RNG seed (deterministic outcomes per seed).
+            seed: u64,
+        },
+        /// A cross-substrate latency race between two data centers: the
+        /// licensee's corpus-reconstructed microwave route vs fiber vs a
+        /// LEO constellation vs the vacuum geodesic limit, with
+        /// weather-adjusted availability windows on the microwave leg.
+        Race = "race", REQ_RACE = 0x0b {
+            /// Licensee whose corpus network runs the microwave leg.
+            licensee: String,
+            /// As-of date.
+            date: Date,
+            /// Origin data-center code.
+            from: String,
+            /// Destination data-center code.
+            to: String,
+            /// LEO constellation name (`starlink`).
+            constellation: String,
+            /// Weather states to sample on the microwave leg.
+            samples: usize,
+            /// RNG seed (deterministic outcomes per seed).
+            seed: u64,
+        },
+        /// Sweep the standard segment set (corridor pairs + the §6
+        /// transoceanic segments) and reduce each race to stretch factors
+        /// vs the vacuum bound — the input of the stretch-CDF figure.
+        StretchSweep = "stretch_sweep", REQ_STRETCH_SWEEP = 0x0c {
+            /// Licensee whose corpus network runs the corridor microwave legs.
+            licensee: String,
+            /// As-of date.
+            date: Date,
+            /// LEO constellation name (`starlink`).
+            constellation: String,
+        },
+        /// Server + session counters.
+        Stats = "stats", REQ_STATS = 0x08,
+        /// The full process-wide telemetry registry (counters, gauges,
+        /// latency histograms) in its deterministic JSON form.
+        Metrics = "metrics", REQ_METRICS = 0x09,
+        /// Captured request traces from the flight recorder: the slowest
+        /// `limit` records, or one exact trace by id.
+        Traces = "traces", REQ_TRACES = 0x0d {
+            /// Maximum records to return (slowest first); JSON may omit
+            /// it for 16.
+            limit: usize = 16,
+            /// Fetch one specific trace instead of the slowest set.
+            trace_id: Option<u128>,
+        },
+        /// Graceful shutdown: stop accepting, drain, dump stats.
+        Shutdown = "shutdown", REQ_SHUTDOWN = 0x0a,
     }
+}
 
-    fn from_json(v: &Json) -> Result<SweepEntry, String> {
-        Ok(SweepEntry {
-            pair: need_str(v, "pair")?.to_string(),
-            geodesic_km: need_num(v, "geodesic_km")?,
-            mw_stretch: opt_num(v, "mw_stretch")?,
-            fiber_stretch: need_num(v, "fiber_stretch")?,
-            leo_stretch: opt_num(v, "leo_stretch")?,
-        })
+wire_enum! {
+    /// An answer. `Error` carries a human-readable reason; `Overloaded` is
+    /// the admission-queue backpressure rejection (never an error in the
+    /// protocol sense — the client may retry).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response ("response") {
+        /// License ids, in portal result order.
+        Licenses = "licenses", RESP_LICENSES = 0x01 {
+            /// Matching license ids.
+            ids: Vec<u64>,
+        },
+        /// The §2.2 funnel outcome.
+        Shortlist = "shortlist", RESP_SHORTLIST = 0x02 {
+            /// Licensees with any license in the search region.
+            geographic_candidates: u64,
+            /// Licensees surviving the MG/FXO filter.
+            service_filtered: u64,
+            /// Licensees surviving the volume filter.
+            shortlisted: u64,
+            /// The shortlisted names, sorted.
+            names: Vec<String>,
+        },
+        /// Network summary (counts, not the full graph — use the CLI's YAML
+        /// dump for geometry).
+        Network = "network", RESP_NETWORK = 0x03 {
+            /// Licensee name.
+            licensee: String,
+            /// The exact requested as-of date.
+            as_of: Date,
+            /// Towers in the reconstructed network.
+            towers: u64,
+            /// Microwave links.
+            links: u64,
+            /// Licenses active on the as-of date.
+            active_licenses: u64,
+        },
+        /// Route answer; all fields `None` when not connected.
+        Route = "route", RESP_ROUTE = 0x04 {
+            /// One-way latency, ms.
+            latency_ms: Option<f64>,
+            /// Towers traversed.
+            towers: Option<u64>,
+            /// Total path length, m.
+            length_m: Option<f64>,
+        },
+        /// APA answer; `None` when not connected.
+        Apa = "apa", RESP_APA = 0x05 {
+            /// Alternate-path availability, fraction.
+            apa: Option<f64>,
+        },
+        /// Weather Monte Carlo outcome. Percentiles can be `+∞` (encoded as
+        /// JSON `null`) when the network is down in that tail.
+        Weather = "weather", RESP_WEATHER = 0x06 {
+            /// Clear-sky latency, ms.
+            clear_ms: f64 as Latency,
+            /// Median conditional latency, ms.
+            p50_ms: f64 as Latency,
+            /// 95th-percentile conditional latency, ms.
+            p95_ms: f64 as Latency,
+            /// 99th-percentile conditional latency, ms.
+            p99_ms: f64 as Latency,
+            /// Fraction of states with the network connected.
+            availability: f64,
+            /// States sampled.
+            samples: u64,
+        },
+        /// One cross-substrate race. All latencies are one-way ms; the
+        /// `wx_*` fields are the §5 weather Monte Carlo on the microwave
+        /// leg — when no corpus route exists (`microwave_ms` is `null`) the
+        /// weather block degrades to `wx_samples == 0`, availability `0`,
+        /// and `+∞` percentiles (encoded as JSON `null`).
+        Race = "race", RESP_RACE = 0x0c {
+            /// Origin data-center code.
+            from: String,
+            /// Destination data-center code.
+            to: String,
+            /// Constellation raced on the LEO leg.
+            constellation: String,
+            /// Geodesic distance, km.
+            geodesic_km: f64,
+            /// Vacuum geodesic limit, ms.
+            c_bound_ms: f64,
+            /// Corpus microwave leg, ms (`None` when unroutable).
+            microwave_ms: Option<f64>,
+            /// Fiber leg, ms.
+            fiber_ms: f64,
+            /// LEO leg, ms (`None` when the constellation cannot route it).
+            leo_ms: Option<f64>,
+            /// Inter-satellite hops on the LEO leg.
+            leo_isl_hops: Option<u64>,
+            /// Microwave stretch factor vs the vacuum bound.
+            mw_stretch: Option<f64>,
+            /// Fiber stretch factor.
+            fiber_stretch: f64,
+            /// LEO stretch factor.
+            leo_stretch: Option<f64>,
+            /// The winning substrate (`microwave`, `LEO` or `fiber`).
+            winner: String,
+            /// Clear-sky microwave latency, ms (`+∞` when no weather run).
+            wx_clear_ms: f64 as Latency,
+            /// Median weather-conditional latency, ms.
+            wx_p50_ms: f64 as Latency,
+            /// 95th-percentile weather-conditional latency, ms.
+            wx_p95_ms: f64 as Latency,
+            /// 99th-percentile weather-conditional latency, ms.
+            wx_p99_ms: f64 as Latency,
+            /// Fraction of weather states with the microwave leg connected.
+            wx_availability: f64,
+            /// Weather states sampled (`0` when no weather run).
+            wx_samples: u64,
+        },
+        /// The stretch-factor sweep, one entry per swept segment.
+        StretchSweep = "stretch_sweep", RESP_STRETCH_SWEEP = 0x0d {
+            /// Swept segments in deterministic order.
+            entries: Vec<SweepEntry>,
+        },
+        /// Serve + session counters.
+        Stats = "stats", RESP_STATS = 0x07 {
+            /// The serving layer's counters.
+            serve: ServeSnapshot,
+            /// The analysis session's cache counters.
+            session: StatsSnapshot,
+        },
+        /// The telemetry registry snapshot, as the deterministic JSON object
+        /// `{"counters":{...},"gauges":{...},"histograms":{...}}` rendered
+        /// by `hft_obs::expo::render_json`.
+        Metrics = "metrics", RESP_METRICS = 0x08 {
+            /// The registry object (sorted names, fixed summary key order).
+            registry: Json,
+        },
+        /// Flight-recorder traces, slowest first.
+        Traces = "traces", RESP_TRACES = 0x0e {
+            /// The captured traces.
+            traces: Vec<WireTrace>,
+        },
+        /// The request could not be served (unknown licensee field values,
+        /// malformed frame, bad date, ...).
+        Error = "error", RESP_ERROR = 0x09 {
+            /// Why.
+            message: String,
+        },
+        /// Admission queue full — backpressure, retry later.
+        Overloaded = "overloaded", RESP_OVERLOADED = 0x0a,
+        /// Acknowledgement of [`Request::Shutdown`].
+        ShuttingDown = "shutting_down", RESP_SHUTTING_DOWN = 0x0b,
+    }
+}
+
+wire_struct! {
+    /// One [`Response::StretchSweep`] segment, reduced to stretch factors
+    /// vs the vacuum geodesic bound.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SweepEntry ("sweep entry") {
+        /// Segment name, `FROM-TO`.
+        pub pair: String,
+        /// Geodesic distance, km.
+        pub geodesic_km: f64,
+        /// Microwave stretch (`None` when unroutable/infeasible).
+        pub mw_stretch: Option<f64>,
+        /// Fiber stretch.
+        pub fiber_stretch: f64,
+        /// LEO stretch (`None` when unroutable).
+        pub leo_stretch: Option<f64>,
+    }
+}
+
+wire_struct! {
+    /// One span of a [`WireTrace`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireSpan ("span") {
+        /// Span name (dotted taxonomy).
+        pub name: String,
+        /// Parent index within the trace; `None` for the root.
+        pub parent: Option<u32>,
+        /// Start offset from the root, ns.
+        pub start_ns: u64,
+        /// Duration, ns.
+        pub dur_ns: u64,
+        /// Shard the span ran against, when shard-addressed.
+        pub shard: Option<u32>,
+    }
+}
+
+wire_struct! {
+    impl StatsSnapshot ("session stats") {
+        network_hits: u64,
+        reconstructions: u64,
+        route_hits: u64,
+        route_misses: u64,
+        apa_hits: u64,
+        apa_misses: u64,
+        graph_hits: u64,
+        graph_misses: u64,
     }
 }
 
@@ -336,21 +366,6 @@ pub struct WireTrace {
     pub total_ns: u64,
     /// The span tree, preorder, root first.
     pub spans: Vec<WireSpan>,
-}
-
-/// One span of a [`WireTrace`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSpan {
-    /// Span name (dotted taxonomy).
-    pub name: String,
-    /// Parent index within the trace; `None` for the root.
-    pub parent: Option<u32>,
-    /// Start offset from the root, ns.
-    pub start_ns: u64,
-    /// Duration, ns.
-    pub dur_ns: u64,
-    /// Shard the span ran against, when shard-addressed.
-    pub shard: Option<u32>,
 }
 
 impl WireTrace {
@@ -413,347 +428,79 @@ impl WireTrace {
         }
         out
     }
+}
 
-    fn to_json(&self) -> Json {
+/// Trace flag bits (byte-packed on the binary wire).
+const TRACE_FLAG_SAMPLED: u8 = 0b01;
+const TRACE_FLAG_SLOW: u8 = 0b10;
+
+/// The one hand-written composite codec: fields in declaration order,
+/// except that binary packs `sampled` and `slow` into one flag byte.
+impl Codec for WireTrace {
+    type Value = WireTrace;
+
+    fn to_json(t: &WireTrace) -> Json {
         Json::Obj(vec![
-            (
-                "trace_id".into(),
-                s(&hft_obs::format_trace_id(self.trace_id)),
-            ),
-            ("label".into(), s(&self.label)),
-            ("sampled".into(), Json::Bool(self.sampled)),
-            ("slow".into(), Json::Bool(self.slow)),
-            ("total_ns".into(), u(self.total_ns)),
-            (
-                "spans".into(),
-                Json::Arr(self.spans.iter().map(WireSpan::to_json).collect()),
-            ),
+            ("trace_id".into(), u128::to_json(&t.trace_id)),
+            ("label".into(), String::to_json(&t.label)),
+            ("sampled".into(), Json::Bool(t.sampled)),
+            ("slow".into(), Json::Bool(t.slow)),
+            ("total_ns".into(), u64::to_json(&t.total_ns)),
+            ("spans".into(), <Vec<WireSpan>>::to_json(&t.spans)),
         ])
     }
 
-    fn from_json(v: &Json) -> Result<WireTrace, String> {
-        let arr = v
-            .get("spans")
-            .and_then(Json::as_arr)
-            .ok_or("trace: missing spans")?;
+    fn from_json(v: Option<&Json>, at: At) -> Result<WireTrace, String> {
+        let v = v.ok_or_else(|| at.missing())?;
+        let at = |key| At {
+            owner: "trace",
+            key,
+        };
+        let flag = |key| match v.get(key) {
+            Some(Json::Bool(b)) => Ok(*b),
+            _ => Err(format!("missing or non-boolean field {key:?}")),
+        };
         Ok(WireTrace {
-            trace_id: hft_obs::parse_trace_id(need_str(v, "trace_id")?)
-                .ok_or("trace: bad trace_id")?,
-            label: need_str(v, "label")?.to_string(),
-            sampled: need_bool(v, "sampled")?,
-            slow: need_bool(v, "slow")?,
-            total_ns: need_u64(v, "total_ns")?,
-            spans: arr
-                .iter()
-                .map(WireSpan::from_json)
-                .collect::<Result<Vec<WireSpan>, _>>()?,
+            trace_id: u128::from_json(v.get("trace_id"), at("trace_id"))?,
+            label: String::from_json(v.get("label"), at("label"))?,
+            sampled: flag("sampled")?,
+            slow: flag("slow")?,
+            total_ns: u64::from_json(v.get("total_ns"), at("total_ns"))?,
+            spans: <Vec<WireSpan>>::from_json(v.get("spans"), at("spans"))?,
         })
     }
-}
 
-impl WireSpan {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), s(&self.name)),
-            (
-                "parent".into(),
-                self.parent.map(|p| u(p as u64)).unwrap_or(Json::Null),
-            ),
-            ("start_ns".into(), u(self.start_ns)),
-            ("dur_ns".into(), u(self.dur_ns)),
-            (
-                "shard".into(),
-                self.shard.map(|k| u(k as u64)).unwrap_or(Json::Null),
-            ),
-        ])
+    fn put(t: &WireTrace, buf: &mut Vec<u8>) {
+        u128::put(&t.trace_id, buf);
+        String::put(&t.label, buf);
+        let mut flags = 0u8;
+        if t.sampled {
+            flags |= TRACE_FLAG_SAMPLED;
+        }
+        if t.slow {
+            flags |= TRACE_FLAG_SLOW;
+        }
+        buf.push(flags);
+        u64::put(&t.total_ns, buf);
+        <Vec<WireSpan>>::put(&t.spans, buf);
     }
 
-    fn from_json(v: &Json) -> Result<WireSpan, String> {
-        Ok(WireSpan {
-            name: need_str(v, "name")?.to_string(),
-            parent: match v.get("parent") {
-                Some(Json::Null) | None => None,
-                Some(x) => Some(x.as_u64().ok_or("span: bad parent")? as u32),
-            },
-            start_ns: need_u64(v, "start_ns")?,
-            dur_ns: need_u64(v, "dur_ns")?,
-            shard: match v.get("shard") {
-                Some(Json::Null) | None => None,
-                Some(x) => Some(x.as_u64().ok_or("span: bad shard")? as u32),
-            },
+    fn get(cur: &mut crate::binwire::Cur<'_>) -> Result<WireTrace, crate::binwire::DecodeError> {
+        let trace_id = u128::get(cur)?;
+        let label = String::get(cur)?;
+        let flags = cur.u8()?;
+        Ok(WireTrace {
+            trace_id,
+            label,
+            sampled: flags & TRACE_FLAG_SAMPLED != 0,
+            slow: flags & TRACE_FLAG_SLOW != 0,
+            total_ns: u64::get(cur)?,
+            spans: <Vec<WireSpan>>::get(cur)?,
         })
     }
-}
-
-fn obj(type_name: &str, mut rest: Vec<(String, Json)>) -> Json {
-    let mut pairs = vec![("type".to_string(), Json::Str(type_name.to_string()))];
-    pairs.append(&mut rest);
-    Json::Obj(pairs)
-}
-
-fn s(v: &str) -> Json {
-    Json::Str(v.to_string())
-}
-
-fn n(v: f64) -> Json {
-    Json::Num(v)
-}
-
-fn u(v: u64) -> Json {
-    Json::Num(v as f64)
-}
-
-fn opt_n(v: Option<f64>) -> Json {
-    v.map(Json::num_or_null).unwrap_or(Json::Null)
 }
 
 impl Request {
-    /// The canonical JSON form.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Geographic {
-                lat_deg,
-                lon_deg,
-                radius_km,
-            } => obj(
-                "geographic",
-                vec![
-                    ("lat_deg".into(), n(*lat_deg)),
-                    ("lon_deg".into(), n(*lon_deg)),
-                    ("radius_km".into(), n(*radius_km)),
-                ],
-            ),
-            Request::SiteSearch { service, class } => obj(
-                "site_search",
-                vec![("service".into(), s(service)), ("class".into(), s(class))],
-            ),
-            Request::Shortlist {
-                lat_deg,
-                lon_deg,
-                radius_km,
-                min_filings,
-            } => obj(
-                "shortlist",
-                vec![
-                    ("lat_deg".into(), n(*lat_deg)),
-                    ("lon_deg".into(), n(*lon_deg)),
-                    ("radius_km".into(), n(*radius_km)),
-                    ("min_filings".into(), u(*min_filings as u64)),
-                ],
-            ),
-            Request::Network { licensee, date } => obj(
-                "network",
-                vec![
-                    ("licensee".into(), s(licensee)),
-                    ("date".into(), s(&date.to_iso())),
-                ],
-            ),
-            Request::Route {
-                licensee,
-                date,
-                from,
-                to,
-            } => obj(
-                "route",
-                vec![
-                    ("licensee".into(), s(licensee)),
-                    ("date".into(), s(&date.to_iso())),
-                    ("from".into(), s(from)),
-                    ("to".into(), s(to)),
-                ],
-            ),
-            Request::Apa {
-                licensee,
-                date,
-                from,
-                to,
-            } => obj(
-                "apa",
-                vec![
-                    ("licensee".into(), s(licensee)),
-                    ("date".into(), s(&date.to_iso())),
-                    ("from".into(), s(from)),
-                    ("to".into(), s(to)),
-                ],
-            ),
-            Request::Weather {
-                licensee,
-                date,
-                from,
-                to,
-                samples,
-                seed,
-            } => obj(
-                "weather",
-                vec![
-                    ("licensee".into(), s(licensee)),
-                    ("date".into(), s(&date.to_iso())),
-                    ("from".into(), s(from)),
-                    ("to".into(), s(to)),
-                    ("samples".into(), u(*samples as u64)),
-                    ("seed".into(), u(*seed)),
-                ],
-            ),
-            Request::Race {
-                licensee,
-                date,
-                from,
-                to,
-                constellation,
-                samples,
-                seed,
-            } => obj(
-                "race",
-                vec![
-                    ("licensee".into(), s(licensee)),
-                    ("date".into(), s(&date.to_iso())),
-                    ("from".into(), s(from)),
-                    ("to".into(), s(to)),
-                    ("constellation".into(), s(constellation)),
-                    ("samples".into(), u(*samples as u64)),
-                    ("seed".into(), u(*seed)),
-                ],
-            ),
-            Request::StretchSweep {
-                licensee,
-                date,
-                constellation,
-            } => obj(
-                "stretch_sweep",
-                vec![
-                    ("licensee".into(), s(licensee)),
-                    ("date".into(), s(&date.to_iso())),
-                    ("constellation".into(), s(constellation)),
-                ],
-            ),
-            Request::Stats => obj("stats", vec![]),
-            Request::Metrics => obj("metrics", vec![]),
-            Request::Traces { limit, trace_id } => obj(
-                "traces",
-                vec![
-                    ("limit".into(), u(*limit as u64)),
-                    (
-                        "trace_id".into(),
-                        trace_id
-                            .map(|id| s(&hft_obs::format_trace_id(id)))
-                            .unwrap_or(Json::Null),
-                    ),
-                ],
-            ),
-            Request::Shutdown => obj("shutdown", vec![]),
-        }
-    }
-
-    /// The request's wire type name (`geographic`, `traces`, ...): the
-    /// label used on trace records and per-kind metrics.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Geographic { .. } => "geographic",
-            Request::SiteSearch { .. } => "site_search",
-            Request::Shortlist { .. } => "shortlist",
-            Request::Network { .. } => "network",
-            Request::Route { .. } => "route",
-            Request::Apa { .. } => "apa",
-            Request::Weather { .. } => "weather",
-            Request::Race { .. } => "race",
-            Request::StretchSweep { .. } => "stretch_sweep",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Traces { .. } => "traces",
-            Request::Shutdown => "shutdown",
-        }
-    }
-
-    /// Encode to canonical wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        self.to_json().encode().into_bytes()
-    }
-
-    /// Decode from wire bytes (UTF-8 JSON).
-    pub fn decode(bytes: &[u8]) -> Result<Request, String> {
-        let text = std::str::from_utf8(bytes).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        Request::from_json(&v)
-    }
-
-    /// Decode from a parsed JSON value.
-    pub fn from_json(v: &Json) -> Result<Request, String> {
-        let kind = need_str(v, "type")?;
-        match kind {
-            "geographic" => Ok(Request::Geographic {
-                lat_deg: need_num(v, "lat_deg")?,
-                lon_deg: need_num(v, "lon_deg")?,
-                radius_km: need_num(v, "radius_km")?,
-            }),
-            "site_search" => Ok(Request::SiteSearch {
-                service: need_str(v, "service")?.to_string(),
-                class: need_str(v, "class")?.to_string(),
-            }),
-            "shortlist" => Ok(Request::Shortlist {
-                lat_deg: need_num(v, "lat_deg")?,
-                lon_deg: need_num(v, "lon_deg")?,
-                radius_km: need_num(v, "radius_km")?,
-                min_filings: need_u64(v, "min_filings")? as usize,
-            }),
-            "network" => Ok(Request::Network {
-                licensee: need_str(v, "licensee")?.to_string(),
-                date: need_date(v)?,
-            }),
-            "route" => Ok(Request::Route {
-                licensee: need_str(v, "licensee")?.to_string(),
-                date: need_date(v)?,
-                from: need_str(v, "from")?.to_string(),
-                to: need_str(v, "to")?.to_string(),
-            }),
-            "apa" => Ok(Request::Apa {
-                licensee: need_str(v, "licensee")?.to_string(),
-                date: need_date(v)?,
-                from: need_str(v, "from")?.to_string(),
-                to: need_str(v, "to")?.to_string(),
-            }),
-            "weather" => Ok(Request::Weather {
-                licensee: need_str(v, "licensee")?.to_string(),
-                date: need_date(v)?,
-                from: need_str(v, "from")?.to_string(),
-                to: need_str(v, "to")?.to_string(),
-                samples: need_u64(v, "samples")? as usize,
-                seed: need_u64(v, "seed")?,
-            }),
-            "race" => Ok(Request::Race {
-                licensee: need_str(v, "licensee")?.to_string(),
-                date: need_date(v)?,
-                from: need_str(v, "from")?.to_string(),
-                to: need_str(v, "to")?.to_string(),
-                constellation: need_str(v, "constellation")?.to_string(),
-                samples: need_u64(v, "samples")? as usize,
-                seed: need_u64(v, "seed")?,
-            }),
-            "stretch_sweep" => Ok(Request::StretchSweep {
-                licensee: need_str(v, "licensee")?.to_string(),
-                date: need_date(v)?,
-                constellation: need_str(v, "constellation")?.to_string(),
-            }),
-            "stats" => Ok(Request::Stats),
-            "metrics" => Ok(Request::Metrics),
-            "traces" => Ok(Request::Traces {
-                limit: match v.get("limit") {
-                    Some(Json::Null) | None => 16,
-                    Some(x) => x.as_u64().ok_or("traces: bad limit")? as usize,
-                },
-                trace_id: match v.get("trace_id") {
-                    Some(Json::Null) | None => None,
-                    Some(x) => Some(
-                        x.as_str()
-                            .and_then(hft_obs::parse_trace_id)
-                            .ok_or("traces: bad trace_id")?,
-                    ),
-                },
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request type {other:?}")),
-        }
-    }
-
     /// The single-flight identity of this request, or `None` for
     /// control requests (`stats`, `metrics`, `shutdown`) that are never
     /// coalesced.
@@ -849,365 +596,4 @@ impl Request {
             Request::Stats | Request::Metrics | Request::Traces { .. } | Request::Shutdown => None,
         }
     }
-}
-
-impl Response {
-    /// The canonical JSON form.
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::Licenses { ids } => obj(
-                "licenses",
-                vec![(
-                    "ids".into(),
-                    Json::Arr(ids.iter().map(|&id| u(id)).collect()),
-                )],
-            ),
-            Response::Shortlist {
-                geographic_candidates,
-                service_filtered,
-                shortlisted,
-                names,
-            } => obj(
-                "shortlist",
-                vec![
-                    ("geographic_candidates".into(), u(*geographic_candidates)),
-                    ("service_filtered".into(), u(*service_filtered)),
-                    ("shortlisted".into(), u(*shortlisted)),
-                    (
-                        "names".into(),
-                        Json::Arr(names.iter().map(|x| s(x)).collect()),
-                    ),
-                ],
-            ),
-            Response::Network {
-                licensee,
-                as_of,
-                towers,
-                links,
-                active_licenses,
-            } => obj(
-                "network",
-                vec![
-                    ("licensee".into(), s(licensee)),
-                    ("as_of".into(), s(&as_of.to_iso())),
-                    ("towers".into(), u(*towers)),
-                    ("links".into(), u(*links)),
-                    ("active_licenses".into(), u(*active_licenses)),
-                ],
-            ),
-            Response::Route {
-                latency_ms,
-                towers,
-                length_m,
-            } => obj(
-                "route",
-                vec![
-                    ("latency_ms".into(), opt_n(*latency_ms)),
-                    ("towers".into(), towers.map(u).unwrap_or(Json::Null)),
-                    ("length_m".into(), opt_n(*length_m)),
-                ],
-            ),
-            Response::Apa { apa } => obj("apa", vec![("apa".into(), opt_n(*apa))]),
-            Response::Weather {
-                clear_ms,
-                p50_ms,
-                p95_ms,
-                p99_ms,
-                availability,
-                samples,
-            } => obj(
-                "weather",
-                vec![
-                    ("clear_ms".into(), Json::num_or_null(*clear_ms)),
-                    ("p50_ms".into(), Json::num_or_null(*p50_ms)),
-                    ("p95_ms".into(), Json::num_or_null(*p95_ms)),
-                    ("p99_ms".into(), Json::num_or_null(*p99_ms)),
-                    ("availability".into(), n(*availability)),
-                    ("samples".into(), u(*samples)),
-                ],
-            ),
-            Response::Race {
-                from,
-                to,
-                constellation,
-                geodesic_km,
-                c_bound_ms,
-                microwave_ms,
-                fiber_ms,
-                leo_ms,
-                leo_isl_hops,
-                mw_stretch,
-                fiber_stretch,
-                leo_stretch,
-                winner,
-                wx_clear_ms,
-                wx_p50_ms,
-                wx_p95_ms,
-                wx_p99_ms,
-                wx_availability,
-                wx_samples,
-            } => obj(
-                "race",
-                vec![
-                    ("from".into(), s(from)),
-                    ("to".into(), s(to)),
-                    ("constellation".into(), s(constellation)),
-                    ("geodesic_km".into(), n(*geodesic_km)),
-                    ("c_bound_ms".into(), n(*c_bound_ms)),
-                    ("microwave_ms".into(), opt_n(*microwave_ms)),
-                    ("fiber_ms".into(), n(*fiber_ms)),
-                    ("leo_ms".into(), opt_n(*leo_ms)),
-                    (
-                        "leo_isl_hops".into(),
-                        leo_isl_hops.map(u).unwrap_or(Json::Null),
-                    ),
-                    ("mw_stretch".into(), opt_n(*mw_stretch)),
-                    ("fiber_stretch".into(), n(*fiber_stretch)),
-                    ("leo_stretch".into(), opt_n(*leo_stretch)),
-                    ("winner".into(), s(winner)),
-                    ("wx_clear_ms".into(), Json::num_or_null(*wx_clear_ms)),
-                    ("wx_p50_ms".into(), Json::num_or_null(*wx_p50_ms)),
-                    ("wx_p95_ms".into(), Json::num_or_null(*wx_p95_ms)),
-                    ("wx_p99_ms".into(), Json::num_or_null(*wx_p99_ms)),
-                    ("wx_availability".into(), n(*wx_availability)),
-                    ("wx_samples".into(), u(*wx_samples)),
-                ],
-            ),
-            Response::StretchSweep { entries } => obj(
-                "stretch_sweep",
-                vec![(
-                    "entries".into(),
-                    Json::Arr(entries.iter().map(SweepEntry::to_json).collect()),
-                )],
-            ),
-            Response::Stats { serve, session } => obj(
-                "stats",
-                vec![
-                    ("serve".into(), serve.to_json()),
-                    ("session".into(), session_to_json(session)),
-                ],
-            ),
-            Response::Metrics { registry } => {
-                obj("metrics", vec![("registry".into(), registry.clone())])
-            }
-            Response::Traces { traces } => obj(
-                "traces",
-                vec![(
-                    "traces".into(),
-                    Json::Arr(traces.iter().map(WireTrace::to_json).collect()),
-                )],
-            ),
-            Response::Error { message } => obj("error", vec![("message".into(), s(message))]),
-            Response::Overloaded => obj("overloaded", vec![]),
-            Response::ShuttingDown => obj("shutting_down", vec![]),
-        }
-    }
-
-    /// Encode to canonical wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        self.to_json().encode().into_bytes()
-    }
-
-    /// Decode from wire bytes (UTF-8 JSON).
-    pub fn decode(bytes: &[u8]) -> Result<Response, String> {
-        let text = std::str::from_utf8(bytes).map_err(|e| format!("frame is not UTF-8: {e}"))?;
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        Response::from_json(&v)
-    }
-
-    /// Decode from a parsed JSON value.
-    pub fn from_json(v: &Json) -> Result<Response, String> {
-        let kind = need_str(v, "type")?;
-        match kind {
-            "licenses" => {
-                let arr = v
-                    .get("ids")
-                    .and_then(Json::as_arr)
-                    .ok_or("licenses: missing ids")?;
-                let ids = arr
-                    .iter()
-                    .map(|x| x.as_u64().ok_or("licenses: non-integer id"))
-                    .collect::<Result<Vec<u64>, _>>()?;
-                Ok(Response::Licenses { ids })
-            }
-            "shortlist" => {
-                let arr = v
-                    .get("names")
-                    .and_then(Json::as_arr)
-                    .ok_or("shortlist: missing names")?;
-                let names = arr
-                    .iter()
-                    .map(|x| x.as_str().map(str::to_string).ok_or("shortlist: bad name"))
-                    .collect::<Result<Vec<String>, _>>()?;
-                Ok(Response::Shortlist {
-                    geographic_candidates: need_u64(v, "geographic_candidates")?,
-                    service_filtered: need_u64(v, "service_filtered")?,
-                    shortlisted: need_u64(v, "shortlisted")?,
-                    names,
-                })
-            }
-            "network" => Ok(Response::Network {
-                licensee: need_str(v, "licensee")?.to_string(),
-                as_of: Date::parse_iso(need_str(v, "as_of")?).map_err(|e| e.to_string())?,
-                towers: need_u64(v, "towers")?,
-                links: need_u64(v, "links")?,
-                active_licenses: need_u64(v, "active_licenses")?,
-            }),
-            "route" => Ok(Response::Route {
-                latency_ms: opt_num(v, "latency_ms")?,
-                towers: match v.get("towers") {
-                    Some(Json::Null) | None => None,
-                    Some(x) => Some(x.as_u64().ok_or("route: bad towers")?),
-                },
-                length_m: opt_num(v, "length_m")?,
-            }),
-            "apa" => Ok(Response::Apa {
-                apa: opt_num(v, "apa")?,
-            }),
-            "weather" => Ok(Response::Weather {
-                clear_ms: inf_num(v, "clear_ms")?,
-                p50_ms: inf_num(v, "p50_ms")?,
-                p95_ms: inf_num(v, "p95_ms")?,
-                p99_ms: inf_num(v, "p99_ms")?,
-                availability: need_num(v, "availability")?,
-                samples: need_u64(v, "samples")?,
-            }),
-            "race" => Ok(Response::Race {
-                from: need_str(v, "from")?.to_string(),
-                to: need_str(v, "to")?.to_string(),
-                constellation: need_str(v, "constellation")?.to_string(),
-                geodesic_km: need_num(v, "geodesic_km")?,
-                c_bound_ms: need_num(v, "c_bound_ms")?,
-                microwave_ms: opt_num(v, "microwave_ms")?,
-                fiber_ms: need_num(v, "fiber_ms")?,
-                leo_ms: opt_num(v, "leo_ms")?,
-                leo_isl_hops: match v.get("leo_isl_hops") {
-                    Some(Json::Null) | None => None,
-                    Some(x) => Some(x.as_u64().ok_or("race: bad leo_isl_hops")?),
-                },
-                mw_stretch: opt_num(v, "mw_stretch")?,
-                fiber_stretch: need_num(v, "fiber_stretch")?,
-                leo_stretch: opt_num(v, "leo_stretch")?,
-                winner: need_str(v, "winner")?.to_string(),
-                wx_clear_ms: inf_num(v, "wx_clear_ms")?,
-                wx_p50_ms: inf_num(v, "wx_p50_ms")?,
-                wx_p95_ms: inf_num(v, "wx_p95_ms")?,
-                wx_p99_ms: inf_num(v, "wx_p99_ms")?,
-                wx_availability: need_num(v, "wx_availability")?,
-                wx_samples: need_u64(v, "wx_samples")?,
-            }),
-            "stretch_sweep" => {
-                let arr = v
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or("stretch_sweep: missing entries")?;
-                let entries = arr
-                    .iter()
-                    .map(SweepEntry::from_json)
-                    .collect::<Result<Vec<SweepEntry>, _>>()?;
-                Ok(Response::StretchSweep { entries })
-            }
-            "stats" => Ok(Response::Stats {
-                serve: crate::stats::ServeSnapshot::from_json(
-                    v.get("serve").ok_or("stats: missing serve")?,
-                )?,
-                session: session_from_json(v.get("session").ok_or("stats: missing session")?)?,
-            }),
-            "metrics" => Ok(Response::Metrics {
-                registry: v
-                    .get("registry")
-                    .cloned()
-                    .ok_or("metrics: missing registry")?,
-            }),
-            "traces" => {
-                let arr = v
-                    .get("traces")
-                    .and_then(Json::as_arr)
-                    .ok_or("traces: missing traces")?;
-                Ok(Response::Traces {
-                    traces: arr
-                        .iter()
-                        .map(WireTrace::from_json)
-                        .collect::<Result<Vec<WireTrace>, _>>()?,
-                })
-            }
-            "error" => Ok(Response::Error {
-                message: need_str(v, "message")?.to_string(),
-            }),
-            "overloaded" => Ok(Response::Overloaded),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            other => Err(format!("unknown response type {other:?}")),
-        }
-    }
-}
-
-fn session_to_json(s: &hft_core::session::StatsSnapshot) -> Json {
-    Json::Obj(vec![
-        ("network_hits".into(), u(s.network_hits)),
-        ("reconstructions".into(), u(s.reconstructions)),
-        ("route_hits".into(), u(s.route_hits)),
-        ("route_misses".into(), u(s.route_misses)),
-        ("apa_hits".into(), u(s.apa_hits)),
-        ("apa_misses".into(), u(s.apa_misses)),
-        ("graph_hits".into(), u(s.graph_hits)),
-        ("graph_misses".into(), u(s.graph_misses)),
-    ])
-}
-
-fn session_from_json(v: &Json) -> Result<hft_core::session::StatsSnapshot, String> {
-    Ok(hft_core::session::StatsSnapshot {
-        network_hits: need_u64(v, "network_hits")?,
-        reconstructions: need_u64(v, "reconstructions")?,
-        route_hits: need_u64(v, "route_hits")?,
-        route_misses: need_u64(v, "route_misses")?,
-        apa_hits: need_u64(v, "apa_hits")?,
-        apa_misses: need_u64(v, "apa_misses")?,
-        graph_hits: need_u64(v, "graph_hits")?,
-        graph_misses: need_u64(v, "graph_misses")?,
-    })
-}
-
-fn need_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
-fn need_num(v: &Json, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn need_bool(v: &Json, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-boolean field {key:?}")),
-    }
-}
-
-fn need_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn need_date(v: &Json) -> Result<Date, String> {
-    Date::parse_iso(need_str(v, "date")?).map_err(|e| format!("bad date: {e}"))
-}
-
-/// `null` → `None`, number → `Some`.
-fn opt_num(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(x) => x
-            .as_num()
-            .map(Some)
-            .ok_or_else(|| format!("bad numeric field {key:?}")),
-    }
-}
-
-/// `null` → `+∞` (the weather percentiles' "network down" encoding).
-fn inf_num(v: &Json, key: &str) -> Result<f64, String> {
-    Ok(opt_num(v, key)?.unwrap_or(f64::INFINITY))
 }

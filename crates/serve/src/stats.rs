@@ -4,6 +4,7 @@
 //! dump.
 
 use crate::json::Json;
+use crate::schema::{wire_struct, At, Codec};
 use hft_obs::{Counter, Gauge, Histogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -179,36 +180,39 @@ impl ServeStats {
     }
 }
 
-/// A point-in-time copy of [`ServeStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeSnapshot {
-    /// Requests that reached the server (any kind).
-    pub received: u64,
-    /// Requests admitted to the worker queue.
-    pub accepted: u64,
-    /// Requests rejected with `Overloaded` (queue full).
-    pub rejected_overloaded: u64,
-    /// Requests that produced a response (including errors).
-    pub completed: u64,
-    /// Responses that were protocol errors.
-    pub errors: u64,
-    /// Single-flight computations actually run (leaders).
-    pub flights_led: u64,
-    /// Requests that coalesced onto a leader instead of recomputing.
-    pub flights_coalesced: u64,
-    /// Total nanoseconds requests spent queued.
-    pub queue_wait_ns_total: u64,
-    /// Worst single queue wait, ns.
-    pub queue_wait_ns_max: u64,
-    /// Total nanoseconds spent serving (compute or coalesce-wait).
-    pub service_ns_total: u64,
-    /// Worst single service time, ns.
-    pub service_ns_max: u64,
-    /// Deepest the admission queue ever got.
-    pub queue_high_water: u64,
-    /// Corpus generation swaps performed by a live server (0 for a
-    /// fixed-corpus server).
-    pub generation_swaps: u64,
+wire_struct! {
+    /// A point-in-time copy of [`ServeStats`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ServeSnapshot ("serve stats") {
+        /// Requests that reached the server (any kind).
+        pub received: u64,
+        /// Requests admitted to the worker queue.
+        pub accepted: u64,
+        /// Requests rejected with `Overloaded` (queue full).
+        pub rejected_overloaded: u64,
+        /// Requests that produced a response (including errors).
+        pub completed: u64,
+        /// Responses that were protocol errors.
+        pub errors: u64,
+        /// Single-flight computations actually run (leaders).
+        pub flights_led: u64,
+        /// Requests that coalesced onto a leader instead of recomputing.
+        pub flights_coalesced: u64,
+        /// Total nanoseconds requests spent queued.
+        pub queue_wait_ns_total: u64,
+        /// Worst single queue wait, ns.
+        pub queue_wait_ns_max: u64,
+        /// Total nanoseconds spent serving (compute or coalesce-wait).
+        pub service_ns_total: u64,
+        /// Worst single service time, ns.
+        pub service_ns_max: u64,
+        /// Deepest the admission queue ever got.
+        pub queue_high_water: u64,
+        /// Corpus generation swaps performed by a live server (0 for a
+        /// fixed-corpus server, and when absent from a pre-live peer's
+        /// JSON).
+        pub generation_swaps: u64 = 0,
+    }
 }
 
 impl ServeSnapshot {
@@ -233,50 +237,16 @@ impl ServeSnapshot {
     /// The JSON object form used by the `stats` response and the
     /// shutdown dump. Key order is fixed.
     pub fn to_json(&self) -> Json {
-        let u = |v: u64| Json::Num(v as f64);
-        Json::Obj(vec![
-            ("received".into(), u(self.received)),
-            ("accepted".into(), u(self.accepted)),
-            ("rejected_overloaded".into(), u(self.rejected_overloaded)),
-            ("completed".into(), u(self.completed)),
-            ("errors".into(), u(self.errors)),
-            ("flights_led".into(), u(self.flights_led)),
-            ("flights_coalesced".into(), u(self.flights_coalesced)),
-            ("queue_wait_ns_total".into(), u(self.queue_wait_ns_total)),
-            ("queue_wait_ns_max".into(), u(self.queue_wait_ns_max)),
-            ("service_ns_total".into(), u(self.service_ns_total)),
-            ("service_ns_max".into(), u(self.service_ns_max)),
-            ("queue_high_water".into(), u(self.queue_high_water)),
-            ("generation_swaps".into(), u(self.generation_swaps)),
-        ])
+        <ServeSnapshot as Codec>::to_json(self)
     }
 
     /// Inverse of [`ServeSnapshot::to_json`].
     pub fn from_json(v: &Json) -> Result<ServeSnapshot, String> {
-        let g = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("serve stats: missing field {key:?}"))
+        let at = At {
+            owner: "stats",
+            key: "serve",
         };
-        Ok(ServeSnapshot {
-            received: g("received")?,
-            accepted: g("accepted")?,
-            rejected_overloaded: g("rejected_overloaded")?,
-            completed: g("completed")?,
-            errors: g("errors")?,
-            flights_led: g("flights_led")?,
-            flights_coalesced: g("flights_coalesced")?,
-            queue_wait_ns_total: g("queue_wait_ns_total")?,
-            queue_wait_ns_max: g("queue_wait_ns_max")?,
-            service_ns_total: g("service_ns_total")?,
-            service_ns_max: g("service_ns_max")?,
-            queue_high_water: g("queue_high_water")?,
-            // Absent in frames from pre-live servers: default to 0.
-            generation_swaps: v
-                .get("generation_swaps")
-                .and_then(Json::as_u64)
-                .unwrap_or(0),
-        })
+        <ServeSnapshot as Codec>::from_json(Some(v), at)
     }
 }
 
