@@ -33,7 +33,7 @@
 //! `serve.decode_ns`/`serve.encode_ns`, and wake-to-drain latency in
 //! `serve.poll_wake_ns`.
 //!
-//! Shutdown mirrors the threaded path: a `shutdown` request answers
+//! Shutdown is a protocol message: a `shutdown` request answers
 //! `ShuttingDown`, stops every acceptor, closes the admission queue
 //! (pending jobs still drain), marks every connection read-closed, and
 //! the loop exits once every outstanding response has been flushed.
@@ -254,8 +254,7 @@ enum Outgoing {
 
 /// The length-prefixed wire protocol as a [`ConnDriver`]: hello
 /// negotiation, magic-byte codec sniffing, queue-bypassing
-/// `stats`/`metrics`, bounded admission for the rest — semantics
-/// identical to the threaded reader's (see `server.rs`).
+/// `stats`/`metrics`/`traces`, bounded admission for the rest.
 struct WireDriver {
     max_frame: usize,
     frames: FrameReader,
@@ -380,8 +379,8 @@ impl ConnDriver for WireDriver {
     }
 
     fn on_eof(&mut self, _cx: &mut DriverCx<'_>) {
-        // A partial frame at EOF is simply dropped, matching the
-        // threaded reader's drain-on-reader-exit.
+        // A partial frame at EOF is simply dropped; answers already
+        // owed still drain.
     }
 
     fn pump(&mut self, cx: &mut DriverCx<'_>) {
@@ -666,8 +665,7 @@ impl<'f, H: Handler> EvLoop<'_, 'f, H> {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    // Read errors still flush queued answers, matching
-                    // the threaded writer's drain-on-reader-exit.
+                    // Read errors still flush queued answers.
                     conn.closing = true;
                     return;
                 }

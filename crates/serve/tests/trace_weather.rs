@@ -7,7 +7,7 @@
 
 use hft_corridor::{chicago_nj, generate};
 use hft_serve::api::{Request, Response};
-use hft_serve::{Client, IoMode, Proto, ServeConfig, Server, Service};
+use hft_serve::{Client, Proto, ServeConfig, Server, Service};
 use hft_time::Date;
 
 #[test]
@@ -27,7 +27,6 @@ fn weather_request_trace_has_an_mc_span() {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         queue_depth: 16,
-        io: IoMode::Evented,
         ..ServeConfig::default()
     })
     .expect("bind");
