@@ -34,6 +34,7 @@
 //! percentiles.
 
 use hft_bench::REPRO_SEED;
+use hft_core::memo::Memo;
 use hft_corridor::{chicago_nj, generate};
 use hft_ingest::{render_history, Applier, ShardedStore};
 use hft_obs::HistogramShard;
@@ -197,14 +198,14 @@ fn bucket_label(bucket: usize, shards: usize) -> String {
 /// uniform generation vector can find the matching unsharded corpus.
 struct FleetBook {
     corpora: Mutex<HashMap<u64, Arc<UlsDatabase>>>,
-    engines: Mutex<HashMap<u64, Arc<Service<'static>>>>,
+    engines: Memo<u64, Arc<Service<'static>>>,
 }
 
 impl FleetBook {
     fn new() -> FleetBook {
         FleetBook {
             corpora: Mutex::new(HashMap::new()),
-            engines: Mutex::new(HashMap::new()),
+            engines: Memo::new("bench.reference"),
         }
     }
 
@@ -216,22 +217,19 @@ impl FleetBook {
     }
 
     fn engine(&self, generation: u64) -> Option<Arc<Service<'static>>> {
-        let mut engines = self.engines.lock().expect("fleet book engines");
-        if let Some(engine) = engines.get(&generation) {
-            return Some(Arc::clone(engine));
-        }
         let db = Arc::clone(
             self.corpora
                 .lock()
                 .expect("fleet book corpora")
                 .get(&generation)?,
         );
-        let engine = Arc::new(Service::over_snapshot(
-            db,
-            generation,
-            Arc::new(hft_serve::ServeStats::default()),
-        ));
-        engines.insert(generation, Arc::clone(&engine));
+        let (engine, _) = self.engines.get_or_init(generation, || {
+            Arc::new(Service::over_snapshot(
+                db,
+                generation,
+                Arc::new(hft_serve::ServeStats::default()),
+            ))
+        });
         Some(engine)
     }
 }

@@ -27,6 +27,7 @@
 //! which one was used).
 
 use hft_bench::REPRO_SEED;
+use hft_core::memo::Memo;
 use hft_corridor::{chicago_nj, generate};
 use hft_ingest::{decode_batch, render_history, Applier, SnapshotStore};
 use hft_obs::HistogramShard;
@@ -34,10 +35,9 @@ use hft_serve::api::{Request, Response};
 use hft_serve::{Client, ServeConfig, Server, Service};
 use hft_time::Date;
 use hft_uls::UlsDatabase;
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -131,31 +131,10 @@ fn workload(licensees: &[String]) -> Vec<Request> {
 }
 
 /// Lazily built per-generation reference engines. Each holds the
-/// generation's corpus `Arc` (kept alive by the map) and its own
-/// session caches, so repeated verification of the same request against
-/// the same generation costs one computation total.
-struct ReferenceBook {
-    engines: Mutex<HashMap<u64, Arc<Service<'static>>>>,
-}
-
-impl ReferenceBook {
-    fn new() -> ReferenceBook {
-        ReferenceBook {
-            engines: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn engine(&self, generation: u64, db: Arc<UlsDatabase>) -> Arc<Service<'static>> {
-        let mut engines = self.engines.lock().expect("reference book");
-        Arc::clone(engines.entry(generation).or_insert_with(|| {
-            Arc::new(Service::over_snapshot(
-                db,
-                generation,
-                Arc::new(hft_serve::ServeStats::default()),
-            ))
-        }))
-    }
-}
+/// generation's corpus `Arc` and its own session caches, so repeated
+/// verification of the same request against the same generation costs
+/// one computation total.
+type ReferenceBook = Memo<u64, Arc<Service<'static>>>;
 
 #[derive(Default)]
 struct ClientOutcome {
@@ -202,7 +181,13 @@ fn drive(
             outcome.unpinned += 1;
             continue;
         }
-        let reference = book.engine(snap.generation(), snap.db_arc());
+        let (reference, _) = book.get_or_init(snap.generation(), || {
+            Arc::new(Service::over_snapshot(
+                snap.db_arc(),
+                snap.generation(),
+                Arc::new(hft_serve::ServeStats::default()),
+            ))
+        });
         let want = reference.handle(request).encode();
         let got = response.encode();
         if got == want {
@@ -306,7 +291,7 @@ fn run() -> Result<(), String> {
     }
     let store = Arc::new(SnapshotStore::new(UlsDatabase::new()));
     applier.publish(&store);
-    let book = ReferenceBook::new();
+    let book = ReferenceBook::new("bench.reference");
     let done = AtomicBool::new(false);
     let pace = Duration::from_secs_f64(args.seconds / (batches.len() - half).max(1) as f64);
 

@@ -38,6 +38,7 @@ pub mod corridor;
 pub mod design;
 pub mod entity;
 pub mod evolution;
+pub mod memo;
 pub mod metrics;
 pub mod network;
 pub mod overhead;
@@ -49,7 +50,8 @@ pub mod yaml;
 
 pub use cdf::Cdf;
 pub use corridor::DataCenter;
+pub use memo::{Memo, MemoCounts, Outcome};
 pub use network::{MwLink, Network, Tower};
 pub use reconstruct::{reconstruct, ReconstructOptions};
 pub use route::{route, Route, RoutingGraph};
-pub use session::{AnalysisSession, LicenseIndex, RouteMemo, SessionStats, StatsSnapshot};
+pub use session::{AnalysisSession, LicenseIndex, StatsSnapshot};

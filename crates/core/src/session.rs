@@ -20,9 +20,11 @@
 //! # Caching
 //!
 //! Networks are memoized on `(licensee, epoch, options)`; routing graphs,
-//! routes and APA on `(licensee, epoch, options, dc-pair)`. All caches
-//! sit behind mutexes and counters are atomic, so a session can be shared
-//! across the scoped threads of [`AnalysisSession::par_map`].
+//! routes and APA on `(licensee, epoch, options, dc-pair)`; scrapes on
+//! their reference point and config. Each cache is a [`Memo`]: every key
+//! is computed once even under concurrent cold callers, so a session can
+//! be shared across the scoped threads of [`AnalysisSession::par_map`]
+//! and its [`StatsSnapshot`] counts distinct artifacts exactly.
 //!
 //! # As-of dates
 //!
@@ -35,6 +37,7 @@
 
 use crate::corridor::DataCenter;
 use crate::evolution::{EvolutionPoint, Trajectory};
+use crate::memo::Memo;
 use crate::network::Network;
 use crate::reconstruct::{reconstruct, ReconstructOptions};
 use crate::route::{Route, RoutingGraph};
@@ -42,9 +45,8 @@ use hft_geodesy::{LatLon, SnapGrid};
 use hft_time::Date;
 use hft_uls::scrape::{run_pipeline, FunnelReport, ScrapeConfig};
 use hft_uls::{License, UlsDatabase, UlsPortal};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Licenses grouped by licensee, with each licensee's sorted lifecycle
 /// event dates — the epoch table.
@@ -185,71 +187,11 @@ impl From<&ReconstructOptions> for OptionsKey {
     }
 }
 
-/// Atomic hit/miss counters of an [`AnalysisSession`].
-///
-/// Dual-write: each event bumps a per-session atomic (the
-/// [`StatsSnapshot`] view existing consumers read) *and* the matching
-/// `session.*` metric in the global [`hft_obs`] registry, where every
-/// session in the process aggregates. Registry handles are resolved
-/// once at construction, so the per-event cost is two relaxed adds.
-#[derive(Debug)]
-pub struct SessionStats {
-    network_hits: AtomicU64,
-    reconstructions: AtomicU64,
-    route_hits: AtomicU64,
-    route_misses: AtomicU64,
-    apa_hits: AtomicU64,
-    apa_misses: AtomicU64,
-    graph_hits: AtomicU64,
-    graph_misses: AtomicU64,
-    reg: SessionRegistry,
-}
-
-/// Cached global-registry handles for the `session.*` metric family.
-#[derive(Debug)]
-struct SessionRegistry {
-    network_hits: Arc<hft_obs::Counter>,
-    reconstructions: Arc<hft_obs::Counter>,
-    route_hits: Arc<hft_obs::Counter>,
-    route_misses: Arc<hft_obs::Counter>,
-    apa_hits: Arc<hft_obs::Counter>,
-    apa_misses: Arc<hft_obs::Counter>,
-    graph_hits: Arc<hft_obs::Counter>,
-    graph_misses: Arc<hft_obs::Counter>,
-    reconstruct_ns: Arc<hft_obs::Histogram>,
-}
-
-impl Default for SessionStats {
-    fn default() -> SessionStats {
-        let r = hft_obs::global();
-        SessionStats {
-            network_hits: AtomicU64::new(0),
-            reconstructions: AtomicU64::new(0),
-            route_hits: AtomicU64::new(0),
-            route_misses: AtomicU64::new(0),
-            apa_hits: AtomicU64::new(0),
-            apa_misses: AtomicU64::new(0),
-            graph_hits: AtomicU64::new(0),
-            graph_misses: AtomicU64::new(0),
-            reg: SessionRegistry {
-                network_hits: r.counter("session.network_hits"),
-                reconstructions: r.counter("session.reconstructions"),
-                route_hits: r.counter("session.route_hits"),
-                route_misses: r.counter("session.route_misses"),
-                apa_hits: r.counter("session.apa_hits"),
-                apa_misses: r.counter("session.apa_misses"),
-                graph_hits: r.counter("session.graph_hits"),
-                graph_misses: r.counter("session.graph_misses"),
-                reconstruct_ns: r.histogram("session.reconstruct_ns"),
-            },
-        }
-    }
-}
-
-/// A point-in-time copy of [`SessionStats`].
+/// A point-in-time copy of an [`AnalysisSession`]'s memo counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Network requests answered from the epoch cache.
+    /// Network requests answered from the epoch cache (including waits
+    /// on a concurrent reconstruction of the same epoch).
     pub network_hits: u64,
     /// Network requests that ran a full reconstruction (cache misses).
     pub reconstructions: u64,
@@ -311,64 +253,6 @@ impl std::fmt::Display for StatsSnapshot {
     }
 }
 
-impl SessionStats {
-    fn network_hit(&self) {
-        self.network_hits.fetch_add(1, Ordering::Relaxed);
-        self.reg.network_hits.incr();
-    }
-
-    /// Count a reconstruction and record its latency.
-    fn reconstruction(&self, ns: u64) {
-        self.reconstructions.fetch_add(1, Ordering::Relaxed);
-        self.reg.reconstructions.incr();
-        self.reg.reconstruct_ns.record(ns);
-    }
-
-    fn route_hit(&self) {
-        self.route_hits.fetch_add(1, Ordering::Relaxed);
-        self.reg.route_hits.incr();
-    }
-
-    fn route_miss(&self) {
-        self.route_misses.fetch_add(1, Ordering::Relaxed);
-        self.reg.route_misses.incr();
-    }
-
-    fn apa_hit(&self) {
-        self.apa_hits.fetch_add(1, Ordering::Relaxed);
-        self.reg.apa_hits.incr();
-    }
-
-    fn apa_miss(&self) {
-        self.apa_misses.fetch_add(1, Ordering::Relaxed);
-        self.reg.apa_misses.incr();
-    }
-
-    fn graph_hit(&self) {
-        self.graph_hits.fetch_add(1, Ordering::Relaxed);
-        self.reg.graph_hits.incr();
-    }
-
-    fn graph_miss(&self) {
-        self.graph_misses.fetch_add(1, Ordering::Relaxed);
-        self.reg.graph_misses.incr();
-    }
-
-    /// Copy the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            network_hits: self.network_hits.load(Ordering::Relaxed),
-            reconstructions: self.reconstructions.load(Ordering::Relaxed),
-            route_hits: self.route_hits.load(Ordering::Relaxed),
-            route_misses: self.route_misses.load(Ordering::Relaxed),
-            apa_hits: self.apa_hits.load(Ordering::Relaxed),
-            apa_misses: self.apa_misses.load(Ordering::Relaxed),
-            graph_hits: self.graph_hits.load(Ordering::Relaxed),
-            graph_misses: self.graph_misses.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Result of the cached §2.2 scrape pipeline.
 #[derive(Debug, Clone)]
 pub struct ScrapeOutcome {
@@ -390,12 +274,12 @@ pub struct AnalysisSession<'a> {
     index: LicenseIndex,
     corpus: Corpus<'a>,
     options: ReconstructOptions,
-    networks: Mutex<HashMap<NetKey, Arc<OnceLock<Arc<Network>>>>>,
-    graphs: Mutex<HashMap<PairKey, Arc<RoutingGraph>>>,
-    routes: Mutex<HashMap<PairKey, Option<Arc<Route>>>>,
-    apas: Mutex<HashMap<PairKey, Option<f64>>>,
-    scrapes: Mutex<HashMap<ScrapeKey, Arc<ScrapeOutcome>>>,
-    stats: SessionStats,
+    networks: Memo<NetKey, Arc<Network>>,
+    graphs: Memo<PairKey, Arc<RoutingGraph>>,
+    routes: Memo<PairKey, Option<Arc<Route>>>,
+    apas: Memo<PairKey, Option<f64>>,
+    scrapes: Memo<ScrapeKey, Arc<ScrapeOutcome>>,
+    reconstruct_ns: Arc<hft_obs::Histogram>,
 }
 
 impl<'a> AnalysisSession<'a> {
@@ -409,12 +293,16 @@ impl<'a> AnalysisSession<'a> {
             index,
             corpus,
             options: ReconstructOptions::default(),
-            networks: Mutex::new(HashMap::new()),
-            graphs: Mutex::new(HashMap::new()),
-            routes: Mutex::new(HashMap::new()),
-            apas: Mutex::new(HashMap::new()),
-            scrapes: Mutex::new(HashMap::new()),
-            stats: SessionStats::default(),
+            networks: Memo::with_series(
+                "session.network",
+                "session.network_hits",
+                "session.reconstructions",
+            ),
+            graphs: Memo::new("session.graph"),
+            routes: Memo::new("session.route"),
+            apas: Memo::new("session.apa"),
+            scrapes: Memo::new("session.scrape"),
+            reconstruct_ns: hft_obs::global().histogram("session.reconstruct_ns"),
         }
     }
 
@@ -462,7 +350,18 @@ impl<'a> AnalysisSession<'a> {
 
     /// Cache counters so far.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        let (net, graph) = (self.networks.counts(), self.graphs.counts());
+        let (route, apa) = (self.routes.counts(), self.apas.counts());
+        StatsSnapshot {
+            network_hits: net.hits,
+            reconstructions: net.misses,
+            route_hits: route.hits,
+            route_misses: route.misses,
+            apa_hits: apa.hits,
+            apa_misses: apa.misses,
+            graph_hits: graph.hits,
+            graph_misses: graph.misses,
+        }
     }
 
     /// The epoch of `date` for `licensee` under this session's corpus.
@@ -511,32 +410,16 @@ impl<'a> AnalysisSession<'a> {
     pub fn network(&self, licensee: &str, date: Date) -> Arc<Network> {
         let epoch = self.epoch(licensee, date);
         let key = self.net_key(licensee, epoch);
-        // One slot per key; the reconstruction runs inside the slot's
-        // once-cell, outside the map lock, so concurrent cold callers of
-        // one key wait for it while other keys proceed. A panicking
-        // reconstruction leaves the slot empty for the next caller.
-        let slot = Arc::clone(
-            self.networks
-                .lock()
-                .expect("network cache")
-                .entry(key)
-                .or_default(),
-        );
-        let mut built = false;
-        let net = slot.get_or_init(|| {
-            built = true;
-            let _span = hft_obs::span("session.network");
-            let started = std::time::Instant::now();
-            let as_of = self.index.epoch_start(licensee, epoch);
-            let net = reconstruct(&self.licenses_of(licensee), licensee, as_of, &self.options);
-            self.stats
-                .reconstruction(started.elapsed().as_nanos() as u64);
-            Arc::new(net)
-        });
-        if !built {
-            self.stats.network_hit();
-        }
-        Arc::clone(net)
+        self.networks
+            .get_or_init(key, || {
+                let started = std::time::Instant::now();
+                let as_of = self.index.epoch_start(licensee, epoch);
+                let net = reconstruct(&self.licenses_of(licensee), licensee, as_of, &self.options);
+                self.reconstruct_ns
+                    .record(started.elapsed().as_nanos() as u64);
+                Arc::new(net)
+            })
+            .0
     }
 
     /// The network of `licensee` restamped with the exact `date` — for
@@ -558,20 +441,11 @@ impl<'a> AnalysisSession<'a> {
     ) -> Arc<RoutingGraph> {
         let epoch = self.epoch(licensee, date);
         let key = self.pair_key(licensee, epoch, a, b);
-        if let Some(hit) = self.graphs.lock().expect("graph cache").get(&key) {
-            self.stats.graph_hit();
-            return Arc::clone(hit);
-        }
-        self.stats.graph_miss();
-        let _span = hft_obs::span("session.graph");
-        let net = self.network(licensee, date);
-        let rg = Arc::new(RoutingGraph::build(&net, a, b));
         self.graphs
-            .lock()
-            .expect("graph cache")
-            .entry(key)
-            .or_insert(rg.clone());
-        rg
+            .get_or_init(key, || {
+                Arc::new(RoutingGraph::build(&self.network(licensee, date), a, b))
+            })
+            .0
     }
 
     /// The lowest-latency route of `licensee` between `a` and `b` as of
@@ -585,21 +459,13 @@ impl<'a> AnalysisSession<'a> {
     ) -> Option<Arc<Route>> {
         let epoch = self.epoch(licensee, date);
         let key = self.pair_key(licensee, epoch, a, b);
-        if let Some(hit) = self.routes.lock().expect("route cache").get(&key) {
-            self.stats.route_hit();
-            return hit.clone();
-        }
-        self.stats.route_miss();
-        let _span = hft_obs::span("session.route");
-        let net = self.network(licensee, date);
-        let rg = self.routing_graph(licensee, date, a, b);
-        let route = rg.route_filtered(&net, |_| true).map(Arc::new);
         self.routes
-            .lock()
-            .expect("route cache")
-            .entry(key)
-            .or_insert(route.clone());
-        route
+            .get_or_init(key, || {
+                let net = self.network(licensee, date);
+                let rg = self.routing_graph(licensee, date, a, b);
+                rg.route_filtered(&net, |_| true).map(Arc::new)
+            })
+            .0
     }
 
     /// Latency (ms) of [`AnalysisSession::route`].
@@ -618,21 +484,13 @@ impl<'a> AnalysisSession<'a> {
     pub fn apa(&self, licensee: &str, date: Date, a: &DataCenter, b: &DataCenter) -> Option<f64> {
         let epoch = self.epoch(licensee, date);
         let key = self.pair_key(licensee, epoch, a, b);
-        if let Some(hit) = self.apas.lock().expect("apa cache").get(&key) {
-            self.stats.apa_hit();
-            return *hit;
-        }
-        self.stats.apa_miss();
-        let _span = hft_obs::span("session.apa");
-        let net = self.network(licensee, date);
-        let rg = self.routing_graph(licensee, date, a, b);
-        let apa = crate::metrics::apa_with(&rg, &net);
         self.apas
-            .lock()
-            .expect("apa cache")
-            .entry(key)
-            .or_insert(apa);
-        apa
+            .get_or_init(key, || {
+                let net = self.network(licensee, date);
+                let rg = self.routing_graph(licensee, date, a, b);
+                crate::metrics::apa_with(&rg, &net)
+            })
+            .0
     }
 
     /// Run (or replay) the §2.2 scrape pipeline against the session's
@@ -640,26 +498,19 @@ impl<'a> AnalysisSession<'a> {
     /// ([`AnalysisSession::over`]).
     pub fn scrape(&self, reference: &LatLon, config: &ScrapeConfig) -> Option<Arc<ScrapeOutcome>> {
         let db = self.corpus.db()?;
-        let _span = hft_obs::span("session.scrape");
         let key: ScrapeKey = (
             reference.lat_deg().to_bits(),
             reference.lon_deg().to_bits(),
             config.radius_km.to_bits(),
             config.min_filings,
         );
-        if let Some(hit) = self.scrapes.lock().expect("scrape cache").get(&key) {
-            return Some(Arc::clone(hit));
-        }
-        let (_, report) = run_pipeline(db, reference, config);
-        let outcome = Arc::new(ScrapeOutcome {
-            shortlist: report.shortlist.clone(),
-            report,
+        let (outcome, _) = self.scrapes.get_or_init(key, || {
+            let (_, report) = run_pipeline(db, reference, config);
+            Arc::new(ScrapeOutcome {
+                shortlist: report.shortlist.clone(),
+                report,
+            })
         });
-        self.scrapes
-            .lock()
-            .expect("scrape cache")
-            .entry(key)
-            .or_insert(outcome.clone());
         Some(outcome)
     }
 
@@ -757,44 +608,8 @@ impl<'a> AnalysisSession<'a> {
     }
 }
 
-/// A small fingerprint-keyed latency memo for throwaway probe networks
-/// (the corridor generator's closed-loop calibration probes the same
-/// geometry repeatedly as its bisection converges).
-#[derive(Debug, Default)]
-pub struct RouteMemo {
-    map: HashMap<u64, Option<f64>>,
-    /// Lookups answered from the memo.
-    pub hits: u64,
-    /// Lookups that ran the computation.
-    pub misses: u64,
-}
-
-impl RouteMemo {
-    /// An empty memo.
-    pub fn new() -> RouteMemo {
-        RouteMemo::default()
-    }
-
-    /// Return the memoized latency for `fingerprint`, computing it with
-    /// `compute` on first sight.
-    pub fn latency_ms(
-        &mut self,
-        fingerprint: u64,
-        compute: impl FnOnce() -> Option<f64>,
-    ) -> Option<f64> {
-        if let Some(hit) = self.map.get(&fingerprint) {
-            self.hits += 1;
-            return *hit;
-        }
-        self.misses += 1;
-        let value = compute();
-        self.map.insert(fingerprint, value);
-        value
-    }
-}
-
-/// FNV-1a over a stream of 64-bit words — the fingerprint helper used
-/// with [`RouteMemo`].
+/// FNV-1a over a stream of 64-bit words — the fingerprint that keys the
+/// corridor generator's calibration-probe [`Memo`].
 pub fn fingerprint_words(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in words {
@@ -988,14 +803,71 @@ mod tests {
         assert_eq!(stats.network_hits, 1);
     }
 
+    /// Call `f` on two barrier-started threads: a deterministic cold race.
+    fn cold_pair<R: Send>(f: impl Fn() -> R + Sync) -> [R; 2] {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let racers = [(); 2].map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    f()
+                })
+            });
+            racers.map(|h| h.join().unwrap())
+        })
+    }
+
+    #[test]
+    fn concurrent_cold_graph_calls_build_once() {
+        let lics = chain_licenses("Net", d(2015, 6, 1), None, 25, 1);
+        let s = AnalysisSession::over(&lics);
+        let [a, b] = cold_pair(|| s.routing_graph("Net", d(2020, 4, 1), &CME, &EQUINIX_NY4));
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(s.stats().graph_misses, 1);
+        assert_eq!(s.stats().reconstructions, 1);
+    }
+
+    #[test]
+    fn concurrent_cold_route_calls_compute_once() {
+        let lics = chain_licenses("Net", d(2015, 6, 1), None, 25, 1);
+        let s = AnalysisSession::over(&lics);
+        let [a, b] = cold_pair(|| s.route("Net", d(2020, 4, 1), &CME, &EQUINIX_NY4));
+        assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
+        assert_eq!(s.stats().route_misses, 1);
+        assert_eq!(s.stats().graph_misses, 1);
+    }
+
+    #[test]
+    fn concurrent_cold_apa_calls_compute_once() {
+        let lics = chain_licenses("Net", d(2015, 6, 1), None, 25, 1);
+        let s = AnalysisSession::over(&lics);
+        let [a, b] = cold_pair(|| s.apa("Net", d(2020, 4, 1), &CME, &EQUINIX_NY4));
+        assert_eq!(a, b);
+        assert_eq!(s.stats().apa_misses, 1);
+        assert_eq!(s.stats().graph_misses, 1);
+    }
+
+    #[test]
+    fn concurrent_cold_scrape_calls_run_the_pipeline_once() {
+        let db = UlsDatabase::from_licenses(chain_licenses("Net", d(2015, 6, 1), None, 25, 1));
+        let s = AnalysisSession::new(&db);
+        let config = ScrapeConfig {
+            radius_km: 25.0,
+            min_filings: 1,
+        };
+        let [a, b] = cold_pair(|| s.scrape(&CME.position(), &config).unwrap());
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(s.scrapes.counts().misses, 1);
+    }
+
     #[test]
     fn panicking_reconstruction_leaves_the_slot_retryable() {
         let lics = chain_licenses("Net", d(2015, 6, 1), None, 5, 1);
         let s = AnalysisSession::over(&lics);
         let key = s.net_key("Net", s.epoch("Net", d(2020, 4, 1)));
-        let slot = Arc::clone(s.networks.lock().unwrap().entry(key).or_default());
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            slot.get_or_init(|| panic!("injected reconstruction failure"));
+            s.networks
+                .get_or_init(key, || panic!("injected reconstruction failure"));
         }));
         assert!(panicked.is_err());
         assert_eq!(s.network("Net", d(2020, 4, 1)).tower_count(), 5);
@@ -1052,24 +924,6 @@ mod tests {
         let hits = session.par_geographic_search(&probes, 25.0).unwrap();
         assert!(!hits[0].is_empty());
         assert_eq!(session.active_count("Net", d(2020, 4, 1)), 24);
-    }
-
-    #[test]
-    fn route_memo_hits_on_repeat_fingerprints() {
-        let mut memo = RouteMemo::new();
-        let mut evals = 0;
-        let fp = fingerprint_words([1, 2, 3]);
-        for _ in 0..5 {
-            let v = memo.latency_ms(fp, || {
-                evals += 1;
-                Some(4.2)
-            });
-            assert_eq!(v, Some(4.2));
-        }
-        assert_eq!(evals, 1);
-        assert_eq!(memo.hits, 4);
-        assert_eq!(memo.misses, 1);
-        assert_ne!(fingerprint_words([1, 2, 3]), fingerprint_words([1, 3, 2]));
     }
 
     #[test]

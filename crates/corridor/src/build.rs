@@ -28,7 +28,8 @@ use crate::layout::{
 use crate::noise::{self, IdAllocator};
 use crate::spec::{NetworkSpec, ScenarioSpec};
 use hft_core::corridor::{CME, EQUINIX_NY4, NASDAQ, NYSE};
-use hft_core::session::{fingerprint_words, AnalysisSession, RouteMemo};
+use hft_core::memo::Memo;
+use hft_core::session::{fingerprint_words, AnalysisSession};
 use hft_geodesy::{
     gc_destination, gc_distance_m, gc_initial_bearing_deg, gc_interpolate, LatLon, Medium,
 };
@@ -371,7 +372,7 @@ impl ProbeNet {
     }
 
     /// Exact identity of this assembly's geometry (position bits and link
-    /// endpoints), keying a [`RouteMemo`]. Bisection converges onto a
+    /// endpoints), keying the calibration probe [`Memo`]. Bisection converges onto a
     /// shrinking set of scales, so the tail of each calibration probes
     /// bit-identical assemblies repeatedly; only *exact* matches may share
     /// a measurement, or calibration results would drift.
@@ -631,7 +632,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
 
     // ---- Closed-loop calibration: NYSE/NASDAQ spurs. ----
     for s in &mut spurs {
-        let mut memo = RouteMemo::new();
+        let memo = Memo::new("corridor.probe");
         let measure = |scale: f64| -> f64 {
             let offsets: Vec<f64> = s.geom.unit_offsets.iter().map(|u| u * scale).collect();
             let pts = place_chain_with_offsets(&branch, &s.east, &s.geom.ts, &offsets);
@@ -650,7 +651,8 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
                 let rail = plan_rail(&pts, 0, s.covered, spec.rail_hop_km);
                 pn.add_chain_between(ids_chain[rail.lo], &rail.interior, ids_chain[rail.hi]);
             }
-            memo.latency_ms(pn.fingerprint(), || pn.latency_ms(&CME, s.dc))
+            memo.get_or_init(pn.fingerprint(), || pn.latency_ms(&CME, s.dc))
+                .0
                 .expect("probe network is connected")
         };
         let scale = bisect_scale(
@@ -679,7 +681,7 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
     {
         let final_target = spec.eras[last_era].ny4_latency_ms;
         let cur = spur4.current_offsets();
-        let mut memo = RouteMemo::new();
+        let memo = Memo::new("corridor.probe");
         let measure = |scale: f64| -> f64 {
             let offsets = materialize(&spur4.geometry.unit_offsets, &cur, scale, 0.0);
             let pts = spur4.positions_with(&offsets);
@@ -702,7 +704,8 @@ fn build_network(spec: &NetworkSpec, ids: &mut IdAllocator, seed: u64) -> Vec<Li
                 }
                 (None, false) => {}
             }
-            memo.latency_ms(pn.fingerprint(), || pn.latency_ms(&CME, &EQUINIX_NY4))
+            memo.get_or_init(pn.fingerprint(), || pn.latency_ms(&CME, &EQUINIX_NY4))
+                .0
                 .expect("probe network is connected")
         };
         let scale = bisect_scale(&format!("{} NY4 final", spec.name), final_target, measure);

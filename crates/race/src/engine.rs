@@ -1,15 +1,16 @@
 //! The race engine: per-substrate legs, result caches, instrumentation.
 
 use hft_core::corridor::DataCenter;
+use hft_core::memo::Memo;
 use hft_core::session::AnalysisSession;
 use hft_core::weather::{conditional_latency_on, WeatherOutcome};
 use hft_geodesy::{latency_seconds, LatLon, Medium};
 use hft_leo::{fiber_latency_ms, mw_latency_ms, Constellation, GroundStation};
-use hft_obs::{Counter, Histogram};
+use hft_obs::registry::labeled;
+use hft_obs::Histogram;
 use hft_radio::WeatherSampler;
 use hft_time::Date;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The outcome of one cross-substrate race between two sites.
@@ -90,23 +91,21 @@ struct LeoLeg {
 type McKey = (String, usize, &'static str, &'static str, usize, u64);
 
 /// LEO cache key: endpoint positions (bit-exact) plus constellation.
-type LeoKey = ([u64; 2], [u64; 2], String);
+type LeoKey = ([u64; 2], [u64; 2], &'static str);
 
 /// The latency-race scenario engine.
 ///
-/// Owns the lazily-built constellations and two result caches — the §5
+/// Owns three [`Memo`]s — the lazily-built constellations, the §5
 /// weather Monte Carlo keyed per `(licensee, epoch, pair, samples,
 /// seed)` and the LEO legs keyed per `(pair, constellation)`. An
 /// engine is expected to be owned by one corpus generation (the serve
 /// layer builds one per `Service`), which is what makes the epoch in
 /// the MC key a complete identity.
 pub struct RaceEngine {
-    constellations: Mutex<HashMap<String, Arc<Constellation>>>,
-    mc_cache: Mutex<HashMap<McKey, Option<WeatherOutcome>>>,
-    leo_cache: Mutex<HashMap<LeoKey, Option<LeoLeg>>>,
+    constellations: Memo<&'static str, Arc<Constellation>>,
+    mc_cache: Memo<McKey, Option<WeatherOutcome>>,
+    leo_cache: Memo<LeoKey, Option<LeoLeg>>,
     compute_ns: Arc<Histogram>,
-    mc_hits: Arc<Counter>,
-    mc_misses: Arc<Counter>,
 }
 
 impl Default for RaceEngine {
@@ -119,45 +118,16 @@ impl RaceEngine {
     /// A fresh engine with empty caches, registered against the global
     /// telemetry registry.
     pub fn new() -> RaceEngine {
-        let r = hft_obs::global();
         RaceEngine {
-            constellations: Mutex::new(HashMap::new()),
-            mc_cache: Mutex::new(HashMap::new()),
-            leo_cache: Mutex::new(HashMap::new()),
-            compute_ns: r.histogram("race.compute_ns"),
-            mc_hits: r.counter_with("race.mc_cache", "outcome", "hit"),
-            mc_misses: r.counter_with("race.mc_cache", "outcome", "miss"),
+            constellations: Memo::new("race.constellation"),
+            mc_cache: Memo::with_series(
+                "race.weather_mc",
+                &labeled("race.mc_cache", "outcome", "hit"),
+                &labeled("race.mc_cache", "outcome", "miss"),
+            ),
+            leo_cache: Memo::new("race.leo"),
+            compute_ns: hft_obs::global().histogram("race.compute_ns"),
         }
-    }
-
-    /// Weather Monte-Carlo cache hits and misses since this engine was
-    /// created (process-wide counters, monotone).
-    pub fn mc_cache_counts(&self) -> (u64, u64) {
-        (self.mc_hits.value(), self.mc_misses.value())
-    }
-
-    /// Resolve a constellation by name (`"starlink"`), building and
-    /// caching it on first use.
-    fn constellation(&self, name: &str) -> Result<Arc<Constellation>, String> {
-        if let Some(c) = self
-            .constellations
-            .lock()
-            .expect("constellations")
-            .get(name)
-        {
-            return Ok(Arc::clone(c));
-        }
-        let built = match name {
-            "starlink" => Constellation::starlink_like(),
-            other => return Err(format!("unknown constellation {other:?}; try \"starlink\"")),
-        };
-        let built = Arc::new(built);
-        self.constellations
-            .lock()
-            .expect("constellations")
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::clone(&built));
-        Ok(built)
     }
 
     /// The LEO leg between two positions, cached per (pair,
@@ -168,6 +138,10 @@ impl RaceEngine {
         b: &GroundStation,
         constellation: &str,
     ) -> Result<Option<LeoLeg>, String> {
+        let name = match constellation {
+            "starlink" => "starlink",
+            other => return Err(format!("unknown constellation {other:?}; try \"starlink\"")),
+        };
         let key: LeoKey = (
             [
                 a.position.lat_deg().to_bits(),
@@ -177,21 +151,17 @@ impl RaceEngine {
                 b.position.lat_deg().to_bits(),
                 b.position.lon_deg().to_bits(),
             ],
-            constellation.to_string(),
+            name,
         );
-        if let Some(hit) = self.leo_cache.lock().expect("leo cache").get(&key) {
-            return Ok(*hit);
-        }
-        let shell = self.constellation(constellation)?;
-        let leg = shell.route(a, b, 0.0).map(|r| LeoLeg {
-            latency_ms: r.latency_ms,
-            isl_hops: r.isl_hops as u64,
+        let (leg, _) = self.leo_cache.get_or_init(key, || {
+            let (shell, _) = self
+                .constellations
+                .get_or_init(name, || Arc::new(Constellation::starlink_like()));
+            shell.route(a, b, 0.0).map(|r| LeoLeg {
+                latency_ms: r.latency_ms,
+                isl_hops: r.isl_hops as u64,
+            })
         });
-        self.leo_cache
-            .lock()
-            .expect("leo cache")
-            .entry(key)
-            .or_insert(leg);
         Ok(leg)
     }
 
@@ -218,32 +188,21 @@ impl RaceEngine {
             samples,
             seed,
         );
-        if let Some(hit) = self.mc_cache.lock().expect("mc cache").get(&key) {
-            self.mc_hits.add(1);
-            // Zero-duration marker so a traced waterfall distinguishes a
-            // cache-served leg from a full Monte-Carlo run.
-            let _span = hft_obs::child_span("race.mc_cache_hit");
-            return *hit;
-        }
-        self.mc_misses.add(1);
-        let _span = hft_obs::span("race.weather_mc");
-        let network = session.network(licensee, date);
-        let rg = session.routing_graph(licensee, date, from, to);
-        let outcome = conditional_latency_on(
-            &rg,
-            &network,
-            from,
-            to,
-            &WeatherSampler::stormy_season(),
-            samples,
-            seed,
-        );
         self.mc_cache
-            .lock()
-            .expect("mc cache")
-            .entry(key)
-            .or_insert(outcome);
-        outcome
+            .get_or_init(key, || {
+                let network = session.network(licensee, date);
+                let rg = session.routing_graph(licensee, date, from, to);
+                conditional_latency_on(
+                    &rg,
+                    &network,
+                    from,
+                    to,
+                    &WeatherSampler::stormy_season(),
+                    samples,
+                    seed,
+                )
+            })
+            .0
     }
 
     /// Race every substrate between two corridor data centers, with the
@@ -435,6 +394,54 @@ mod tests {
         assert_eq!(a, c);
         assert_eq!(a.c_bound_ms.to_bits(), c.c_bound_ms.to_bits());
         assert_eq!(a.fiber_ms.to_bits(), c.fiber_ms.to_bits());
+    }
+
+    #[test]
+    fn concurrent_cold_monte_carlo_legs_compute_once() {
+        let session = AnalysisSession::over([]);
+        let engine = RaceEngine::new();
+        let barrier = std::sync::Barrier::new(2);
+        let legs: Vec<_> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        engine.weather_windows(&session, "x", date(), &CME, &EQUINIX_NY4, 40, 7)
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(legs[0], legs[1]);
+        assert_eq!(engine.mc_cache.counts().misses, 1);
+        assert_eq!(engine.mc_cache.counts().hits, 1);
+        assert_eq!(session.stats().reconstructions, 1);
+    }
+
+    #[test]
+    fn concurrent_cold_leo_legs_compute_once() {
+        let engine = RaceEngine::new();
+        let barrier = std::sync::Barrier::new(2);
+        let (fra, dc) = (
+            GroundStation::new("Frankfurt", 50.1109, 8.6821).expect("valid"),
+            GroundStation::new("WashingtonDC", 38.9072, -77.0369).expect("valid"),
+        );
+        let races: Vec<RaceOutcome> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        engine
+                            .race_positions(&fra, &dc, "starlink", false)
+                            .expect("race")
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(races[0], races[1]);
+        assert_eq!(engine.leo_cache.counts().misses, 1);
+        assert_eq!(engine.constellations.counts().misses, 1);
     }
 
     #[test]
