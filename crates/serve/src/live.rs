@@ -3,7 +3,7 @@
 //!
 //! The invariant that makes this safe is *one engine per generation*:
 //! each published corpus generation gets its own [`Service`] — fresh
-//! `AnalysisSession` memoization caches, fresh single-flight group —
+//! `AnalysisSession` memoization caches, fresh request flights —
 //! built over a shared handle to that generation's corpus. Cache
 //! invalidation is therefore by construction, not by bookkeeping: a
 //! network memoized against generation *N* lives in generation *N*'s

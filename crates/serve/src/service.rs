@@ -1,5 +1,5 @@
 //! The in-process query engine: dispatches typed [`Request`]s onto an
-//! [`AnalysisSession`] behind the single-flight layer.
+//! [`AnalysisSession`], coalescing concurrent identical requests.
 //!
 //! This is the same object whether the caller is a TCP connection
 //! handler or a local thread — the wire server is a transport wrapper
@@ -7,9 +7,9 @@
 //! equal direct-session bytes" a testable property.
 
 use crate::api::{Request, Response, SweepEntry};
-use crate::singleflight::Group;
 use crate::stats::ServeStats;
 use hft_core::corridor::{DataCenter, CME, EQUINIX_NY4, NASDAQ, NYSE};
+use hft_core::memo::{Memo, Outcome};
 use hft_core::session::AnalysisSession;
 use hft_core::weather;
 use hft_geodesy::LatLon;
@@ -39,18 +39,18 @@ pub trait Handler: Sync {
     fn serve_stats(&self) -> &ServeStats;
 }
 
-/// The query engine: one shared [`AnalysisSession`] plus the
-/// single-flight group and the serving-layer counters.
+/// The query engine: one shared [`AnalysisSession`] plus the request
+/// flights and the serving-layer counters.
 ///
 /// A `Service` is pinned to exactly one corpus generation: its session
-/// caches and its single-flight group never see requests from another
+/// caches and its flights never see requests from another
 /// generation (flight keys carry the generation number, and a live
 /// server builds a fresh `Service` per generation), so a stale memoized
 /// network can never answer a post-swap query.
 pub struct Service<'a> {
     session: AnalysisSession<'a>,
     generation: u64,
-    flights: Group<Response>,
+    flights: Memo<String, Response>,
     stats: Arc<ServeStats>,
     race: RaceEngine,
 }
@@ -62,7 +62,7 @@ impl<'a> Service<'a> {
         Service {
             session: AnalysisSession::new(db),
             generation: 0,
-            flights: Group::new(),
+            flights: Memo::new("serve.flight"),
             stats: Arc::new(ServeStats::default()),
             race: RaceEngine::new(),
         }
@@ -80,7 +80,7 @@ impl<'a> Service<'a> {
         Service {
             session: AnalysisSession::shared(db),
             generation,
-            flights: Group::new(),
+            flights: Memo::new("serve.flight"),
             stats,
             race: RaceEngine::new(),
         }
@@ -123,14 +123,17 @@ impl<'a> Service<'a> {
         match req.flight_key(&epoch_of) {
             None => self.compute(req),
             Some(key) => {
-                // The generation prefix keeps coalescing within one
-                // corpus generation even if a Group were ever shared.
+                // Flights do not retain answers (`Memo::run`): only
+                // concurrent identical requests share a computation. The
+                // generation prefix keeps coalescing within one corpus
+                // generation even if a memo were ever shared.
                 let key = format!("g{}|{key}", self.generation);
-                let (response, leader) = self.flights.run(&key, || self.compute(req));
-                if leader {
-                    self.stats.on_flight_led();
-                } else {
-                    self.stats.on_flight_coalesced();
+                let (response, outcome) = self.flights.run(key, || self.compute(req));
+                match outcome {
+                    Outcome::Led => self.stats.on_flight_led(),
+                    // A hit caught a flight between its fill and its
+                    // removal: it coalesced just as a waiter does.
+                    Outcome::Hit | Outcome::Coalesced => self.stats.on_flight_coalesced(),
                 }
                 response
             }

@@ -1,5 +1,5 @@
 //! Serving-layer observability: atomic counters aggregated across
-//! connection handlers, pool workers and the single-flight layer, with a
+//! connection handlers, pool workers and the request flights, with a
 //! consistent-enough snapshot for the `stats` request and the shutdown
 //! dump.
 
@@ -127,7 +127,7 @@ impl ServeStats {
         }
     }
 
-    /// A single-flight group resolved: the leader ran the computation.
+    /// A request flight resolved: the leader ran the computation.
     pub fn on_flight_led(&self) {
         self.flights_led.fetch_add(1, Ordering::Relaxed);
         self.reg.flights_led.incr();
