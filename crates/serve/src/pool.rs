@@ -8,12 +8,18 @@
 //! [`Response::Overloaded`]. Connection handlers therefore cannot pile
 //! unbounded work onto a slow server; clients see the rejection and can
 //! retry.
+//!
+//! Panics stop at the worker boundary: a request whose handler panics
+//! answers one `internal error` [`Response::Error`], so the worker keeps
+//! draining and the connection waiting in order on the slot keeps going.
 
 use crate::api::{Request, Response};
 use crate::poll::Waker;
 use crate::service::Handler;
 use crate::stats::ServeStats;
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -177,13 +183,30 @@ impl Queue {
                 let _span =
                     hft_obs::trace_root("serve.request", job.request.kind(), job.ctx, job.enqueued);
                 hft_obs::annotate("queue.wait", 0, wait_ns);
-                handler.handle(&job.request)
+                // A panicking request answers one error; the worker, and
+                // the connection waiting in order on this slot, live on.
+                std::panic::catch_unwind(AssertUnwindSafe(|| handler.handle(&job.request)))
+                    .unwrap_or_else(|panic| Response::Error {
+                        message: internal_error(panic.as_ref()),
+                    })
             };
             stats.on_service(started.elapsed().as_nanos() as u64);
             stats.on_completed(matches!(response, Response::Error { .. }));
             job.slot.fill(response);
         }
     }
+}
+
+/// The error message answering a request whose handler panicked with
+/// `panic`, counted in the registry's `serve.panics`.
+pub(crate) fn internal_error(panic: &(dyn Any + Send)) -> String {
+    hft_obs::global().counter("serve.panics").incr();
+    let what = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(s), _) => s,
+        (_, Some(s)) => s.as_str(),
+        _ => "handler panicked",
+    };
+    format!("internal error: {what}")
 }
 
 #[cfg(test)]
