@@ -1,7 +1,7 @@
-//! `httpload` — the hft-http load harness: self-host a server with the
+//! `httpload` — the hft-http scenario: self-host a server with the
 //! HTTP explorer on the evented loop, replay a mixed GET/POST workload
-//! over keep-alive connections, and write per-route-class latency
-//! percentiles to `BENCH_http.json` at the workspace root.
+//! over keep-alive connections, and report per-route-class latency
+//! percentiles (a JSON record under `--out`).
 //!
 //! ```text
 //! cargo run --release -p hft-bench --bin httpload -- --seconds 2 --concurrency 8
@@ -14,19 +14,18 @@
 //! byte-compared against the in-process `Service::handle` encoding of
 //! the same request — the explorer's acceptance bar is that HTTP
 //! answers are byte-identical to wire answers — and any mismatch fails
-//! the run. `503` answers are backpressure, not errors: counted,
-//! retried, excluded from latency.
+//! the run. Page answers have no fixed bytes: an error status fails the
+//! run, any other counts as answered. `503` answers are backpressure,
+//! not errors: counted, retried, excluded from latency.
 
-use hft_bench::REPRO_SEED;
-use hft_corridor::{chicago_nj, generate};
+use hft_bench::harness::{self, record, Flag, Flags, Load, Reply, Transport, Until, Verifier};
 use hft_http::HttpExplorer;
-use hft_obs::HistogramShard;
 use hft_serve::evloop::ExtraListener;
-use hft_serve::{Client, Request, Response, ServeConfig, Server, Service};
+use hft_serve::json::Json;
+use hft_serve::{Request, Service};
 use hft_time::Date;
-use std::io::{Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::{Duration, Instant};
 
 /// Route classes, in report order.
 const ROUTES: [&str; 5] = ["index", "licensee", "funnel", "metrics", "api"];
@@ -36,67 +35,28 @@ const R_FUNNEL: usize = 2;
 const R_METRICS: usize = 3;
 const R_API: usize = 4;
 
-struct Args {
-    seconds: f64,
-    concurrency: usize,
-    seed: u64,
-    out: Option<String>,
+const FLAGS: &[Flag] = &[
+    Flag::Value("--seconds", Some("3")),
+    Flag::Value("--concurrency", Some("8")),
+    harness::SEED,
+    harness::OUT,
+];
+
+/// The workload: pre-rendered request texts, each entry's route class,
+/// and (API only) the expected response body.
+#[derive(Default)]
+struct Mix {
+    raw: Vec<String>,
+    class: Vec<usize>,
+    expected: Vec<Option<Vec<u8>>>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut parsed = Args {
-        seconds: 3.0,
-        concurrency: 8,
-        seed: REPRO_SEED,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut need = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match a.as_str() {
-            "--seconds" => {
-                parsed.seconds = need("--seconds")?
-                    .parse()
-                    .map_err(|_| "bad --seconds".to_string())?
-            }
-            "--concurrency" => {
-                parsed.concurrency = need("--concurrency")?
-                    .parse()
-                    .map_err(|_| "bad --concurrency".to_string())?
-            }
-            "--seed" => {
-                parsed.seed = need("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_string())?
-            }
-            "--out" => parsed.out = Some(need("--out")?),
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}\nusage: httpload [--seconds S] \
-                     [--concurrency N] [--seed N] [--out PATH]"
-                ))
-            }
-        }
-    }
-    if parsed.concurrency == 0 {
-        return Err("--concurrency must be at least 1".into());
-    }
-    Ok(parsed)
-}
-
-/// One workload entry: pre-rendered request bytes, its route class, and
-/// (API only) the expected response body.
-struct MixEntry {
-    class: usize,
-    raw: Vec<u8>,
-    expected: Option<Vec<u8>>,
-}
-
-fn get_entry(class: usize, target: &str) -> MixEntry {
-    MixEntry {
-        class,
-        raw: format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n").into_bytes(),
-        expected: None,
+impl Mix {
+    fn get(&mut self, class: usize, target: &str) {
+        self.raw
+            .push(format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n"));
+        self.class.push(class);
+        self.expected.push(None);
     }
 }
 
@@ -117,14 +77,13 @@ fn encode_segment(s: &str) -> String {
 /// The workload: every route class, licensee pages and API requests
 /// across the paper's connected-2020 networks. API expectations are
 /// computed from the same in-process service the server answers with.
-fn workload(service: &Service<'_>, licensees: &[String]) -> Vec<MixEntry> {
+fn workload(service: &Service<'_>, licensees: &[String]) -> Mix {
     let date = Date::new(2020, 4, 1).expect("valid date");
-    let mut mix = vec![
-        get_entry(R_INDEX, "/"),
-        get_entry(R_METRICS, "/metrics"),
-        get_entry(R_FUNNEL, "/funnel?radius_km=10&min_filings=11"),
-        get_entry(R_FUNNEL, "/funnel?radius_km=25&min_filings=5"),
-    ];
+    let mut mix = Mix::default();
+    mix.get(R_INDEX, "/");
+    mix.get(R_METRICS, "/metrics");
+    mix.get(R_FUNNEL, "/funnel?radius_km=10&min_filings=11");
+    mix.get(R_FUNNEL, "/funnel?radius_km=25&min_filings=5");
     let mut api_requests: Vec<Request> = vec![
         Request::SiteSearch {
             service: "MG".into(),
@@ -138,71 +97,70 @@ fn workload(service: &Service<'_>, licensees: &[String]) -> Vec<MixEntry> {
         },
     ];
     for name in licensees {
-        mix.push(get_entry(
-            R_LICENSEE,
-            &format!("/licensee/{}", encode_segment(name)),
-        ));
+        mix.get(R_LICENSEE, &format!("/licensee/{}", encode_segment(name)));
         api_requests.push(Request::Network {
             licensee: name.clone(),
             date,
         });
     }
     for request in api_requests {
-        let body = request.encode();
-        let mut raw = format!(
-            "POST /api HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",
+        let body = String::from_utf8(request.encode()).expect("JSON request is UTF-8");
+        mix.raw.push(format!(
+            "POST /api HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
-        )
-        .into_bytes();
-        raw.extend_from_slice(&body);
-        mix.push(MixEntry {
-            class: R_API,
-            raw,
-            expected: Some(service.handle(&request).encode()),
-        });
+        ));
+        mix.class.push(R_API);
+        mix.expected.push(Some(service.handle(&request).encode()));
     }
     mix
 }
 
-/// A buffering keep-alive HTTP client (pipeline-safe reply framing).
+/// A keep-alive HTTP client; replies are framed by `Content-Length`,
+/// so requests may be pipelined.
 struct HttpClient {
-    stream: TcpStream,
-    buf: Vec<u8>,
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
 }
 
 impl HttpClient {
-    fn connect(addr: SocketAddr) -> std::io::Result<HttpClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(HttpClient {
-            stream,
-            buf: Vec::new(),
-        })
+    fn connect(addr: SocketAddr) -> io::Result<HttpClient> {
+        let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
+        let reader = BufReader::new(writer.try_clone()?);
+        Ok(HttpClient { reader, writer })
+    }
+}
+
+impl Transport for HttpClient {
+    type Request = String;
+
+    fn name(&self) -> &'static str {
+        "http"
     }
 
-    /// Write one request and read one full response; returns
-    /// `(status, body)`.
-    fn call(&mut self, raw: &[u8]) -> Result<(u16, Vec<u8>), String> {
-        let io = |e: std::io::Error| format!("httpload IO: {e}");
-        self.stream.write_all(raw).map_err(io)?;
-        let mut chunk = [0u8; 16 * 1024];
-        let head_end = loop {
-            if let Some(i) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break i + 4;
+    fn send(&mut self, raw: &String) -> io::Result<()> {
+        self.writer.write_all(raw.as_bytes())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Read one full response: `503` is backpressure, another status
+    /// from 400 up is a refusal, anything else delivers its body.
+    fn recv(&mut self) -> io::Result<Reply> {
+        let mut head = String::new();
+        while !head.ends_with("\r\n\r\n") {
+            if self.reader.read_line(&mut head)? == 0 {
+                return Err(io::ErrorKind::UnexpectedEof.into());
             }
-            let n = self.stream.read(&mut chunk).map_err(io)?;
-            if n == 0 {
-                return Err("server closed mid-response".into());
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = std::str::from_utf8(&self.buf[..head_end])
-            .map_err(|_| "non-utf8 response head".to_string())?;
+        }
+        let bad = || io::Error::new(io::ErrorKind::InvalidData, format!("bad head {head:?}"));
         let status: u16 = head
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad status line: {head:?}"))?;
+            .ok_or_else(bad)?;
         let len: usize = head
             .lines()
             .find_map(|l| {
@@ -210,149 +168,54 @@ impl HttpClient {
                 name.eq_ignore_ascii_case("content-length")
                     .then(|| value.trim().parse().ok())?
             })
-            .ok_or("missing content-length")?;
-        while self.buf.len() < head_end + len {
-            let n = self.stream.read(&mut chunk).map_err(io)?;
-            if n == 0 {
-                return Err("server closed mid-body".into());
-            }
-            self.buf.extend_from_slice(&chunk[..n]);
-        }
-        let body = self.buf[head_end..head_end + len].to_vec();
-        self.buf.drain(..head_end + len);
-        Ok((status, body))
+            .ok_or_else(bad)?;
+        let mut body = vec![0; len];
+        self.reader.read_exact(&mut body)?;
+        Ok(match status {
+            503 => Reply::Overloaded,
+            400.. => Reply::Refused(format!("status {status}")),
+            _ => Reply::Body(body),
+        })
     }
-}
-
-#[derive(Default)]
-struct WorkerResult {
-    by_route: Vec<HistogramShard>,
-    completed: u64,
-    api_verified: u64,
-    overloaded_retries: u64,
-    wrong: u64,
-    first_mismatch: Option<String>,
-}
-
-/// One keep-alive connection replaying the mix until the deadline.
-fn worker(
-    addr: SocketAddr,
-    mix: &[MixEntry],
-    offset: usize,
-    deadline: Instant,
-) -> Result<WorkerResult, String> {
-    let mut result = WorkerResult {
-        by_route: (0..ROUTES.len()).map(|_| HistogramShard::new()).collect(),
-        ..WorkerResult::default()
-    };
-    let mut client = HttpClient::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    let mut next = offset % mix.len();
-    while Instant::now() < deadline {
-        let entry = &mix[next];
-        let started = Instant::now();
-        let (status, body) = client.call(&entry.raw)?;
-        if status == 503 {
-            // Backpressure is an answer, not an error: retry the entry.
-            result.overloaded_retries += 1;
-            continue;
-        }
-        result.by_route[entry.class].record(started.elapsed().as_nanos() as u64);
-        result.completed += 1;
-        if let Some(expected) = &entry.expected {
-            if &body == expected {
-                result.api_verified += 1;
-            } else {
-                result.wrong += 1;
-                if result.first_mismatch.is_none() {
-                    result.first_mismatch = Some(format!(
-                        "request {next}: got {} bytes, want {} bytes",
-                        body.len(),
-                        expected.len()
-                    ));
-                }
-            }
-        } else if status >= 400 {
-            result.wrong += 1;
-            if result.first_mismatch.is_none() {
-                result.first_mismatch = Some(format!("request {next}: unexpected status {status}"));
-            }
-        }
-        next = (next + 1) % mix.len();
-    }
-    Ok(result)
-}
-
-fn fmt(v: f64) -> String {
-    format!("{v:.3}")
 }
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    harness::main(run)
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    eprintln!("generating corpus (seed {})...", args.seed);
-    let eco = generate(&chicago_nj(), args.seed);
-    let mut licensees = eco.connected_2020.clone();
-    licensees.sort();
+    let flags = Flags::from_env("httpload", FLAGS)?;
+    let seconds: f64 = flags.get("--seconds")?;
+    let concurrency = flags.positive("--concurrency")?;
+    let seed: u64 = flags.get("--seed")?;
+    let (eco, licensees) = harness::corpus(seed);
     let service = Service::new(&eco.db);
     let mix = workload(&service, &licensees);
+    let n = mix.raw.len();
     eprintln!(
-        "mix: {} entries over {} routes, {} clients, {}s",
-        mix.len(),
+        "mix: {n} entries over {} routes, {concurrency} clients, {seconds}s",
         ROUTES.len(),
-        args.concurrency,
-        args.seconds,
     );
+    let verifier = Verifier::Fixed(mix.expected);
+    let load = Load {
+        mix: &mix.raw,
+        verifier: &verifier,
+        bucket_of: &mix.class,
+        window: 1,
+    };
 
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        ..ServeConfig::default()
-    })
-    .map_err(|e| format!("bind: {e}"))?;
-    let wire_addr = server.local_addr().map_err(|e| format!("addr: {e}"))?;
     let explorer = HttpExplorer::new(&service);
     let extra = ExtraListener::bind("127.0.0.1:0", &explorer).map_err(|e| format!("bind: {e}"))?;
     let http_addr = extra.local_addr().map_err(|e| format!("addr: {e}"))?;
-
     let before = hft_obs::global().snapshot();
-    let (results, elapsed) = std::thread::scope(|scope| {
-        let server = &server;
-        let service = &service;
-        let extras = vec![extra];
-        let server_thread = scope.spawn(move || server.run_with_extras(service, &extras));
-
-        let started = Instant::now();
-        let deadline = started + Duration::from_secs_f64(args.seconds);
-        let mix = &mix;
-        let workers: Vec<_> = (0..args.concurrency)
-            .map(|i| {
-                let stride = i * mix.len() / args.concurrency;
-                scope.spawn(move || worker(http_addr, mix, stride, deadline))
-            })
-            .collect();
-        let results: Vec<Result<WorkerResult, String>> = workers
-            .into_iter()
-            .map(|w| w.join().expect("worker"))
-            .collect();
-        let elapsed = started.elapsed().as_secs_f64();
-
-        let mut wire = Client::connect(&wire_addr).expect("wire client");
-        let down = wire.call(&Request::Shutdown).expect("shutdown");
-        assert!(matches!(down, Response::ShuttingDown));
-        server_thread
-            .join()
-            .expect("server thread")
-            .expect("server result");
-        (results, elapsed)
-    });
+    let serve = |s: &hft_serve::Server| s.run_with_extras(&service, &[extra]);
+    let (merged, _, _) = harness::self_host(4, 64, serve, |_| {
+        let conns = (0..concurrency)
+            .map(|_| HttpClient::connect(http_addr).map_err(|e| format!("connect: {e}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let stride = |i| i * n / concurrency;
+        harness::run(conns, &load, stride, Until::Seconds(seconds))
+    })?;
 
     // Server-side RED, as the driver's own per-route instruments saw the
     // run: request/error counts and duration means from a registry delta
@@ -381,98 +244,27 @@ fn run() -> Result<(), String> {
         );
     }
 
-    let mut merged = WorkerResult {
-        by_route: (0..ROUTES.len()).map(|_| HistogramShard::new()).collect(),
-        ..WorkerResult::default()
-    };
-    for result in results {
-        let r = result?;
-        for (m, s) in merged.by_route.iter_mut().zip(&r.by_route) {
-            m.merge(s);
-        }
-        merged.completed += r.completed;
-        merged.api_verified += r.api_verified;
-        merged.overloaded_retries += r.overloaded_retries;
-        merged.wrong += r.wrong;
-        if merged.first_mismatch.is_none() {
-            merged.first_mismatch = r.first_mismatch;
-        }
-    }
-
-    let ms = |ns: u64| ns as f64 / 1e6;
-    let mut route_rows = Vec::new();
-    let mut total = HistogramShard::new();
-    for (route, shard) in ROUTES.iter().zip(&merged.by_route) {
-        total.merge(shard);
-        let s = shard.snapshot();
-        println!(
-            "  {route:<9} {:>7} requests  p50 {:.3} ms  p90 {:.3} ms  p99 {:.3} ms  p999 {:.3} ms",
-            s.count,
-            ms(s.percentile(0.50)),
-            ms(s.percentile(0.90)),
-            ms(s.percentile(0.99)),
-            ms(s.percentile(0.999)),
-        );
-        route_rows.push(format!(
-            "{{\"route\": \"{route}\", \"count\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \
-             \"p99_ms\": {}, \"p999_ms\": {}}}",
-            s.count,
-            fmt(ms(s.percentile(0.50))),
-            fmt(ms(s.percentile(0.90))),
-            fmt(ms(s.percentile(0.99))),
-            fmt(ms(s.percentile(0.999))),
-        ));
-    }
-    let t = total.snapshot();
-    let rps = if elapsed > 0.0 {
-        merged.completed as f64 / elapsed
-    } else {
-        0.0
-    };
+    let quantiles = ["p50", "p90", "p99", "p999"];
+    let label = |b: usize| ROUTES[b].to_string();
+    let route_rows = harness::breakout(&merged.by_bucket, label, ("route", "count"), &quantiles);
     println!(
-        "http: {} requests {:.0} rps  p50 {:.3} ms  p99 {:.3} ms  \
-         ({} api answers byte-verified, {} wrong, {} overloaded retries)",
-        merged.completed,
-        rps,
-        ms(t.percentile(0.50)),
-        ms(t.percentile(0.99)),
-        merged.api_verified,
+        "http: {}  ({} api answers byte-verified, {} wrong, {} overloaded retries)",
+        merged.line(&["p50", "p99"]),
+        merged.verified,
         merged.wrong,
         merged.overloaded_retries,
     );
 
-    let json = format!(
-        "{{\n\"seconds\": {}, \"concurrency\": {}, \"seed\": {},\n\
-         \"requests\": {}, \"rps\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, \
-         \"p999_ms\": {},\n\
-         \"api_verified\": {}, \"wrong_answers\": {}, \"overloaded_retries\": {},\n\
-         \"per_route\": [\n  {}\n]\n}}\n",
-        fmt(elapsed),
-        args.concurrency,
-        args.seed,
-        merged.completed,
-        fmt(rps),
-        fmt(ms(t.percentile(0.50))),
-        fmt(ms(t.percentile(0.90))),
-        fmt(ms(t.percentile(0.99))),
-        fmt(ms(t.percentile(0.999))),
-        merged.api_verified,
-        merged.wrong,
-        merged.overloaded_retries,
-        route_rows.join(",\n  "),
-    );
-    let path = args
-        .out
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_http.json").into());
-    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path}");
-
-    if merged.wrong > 0 {
-        return Err(format!(
-            "{} wrong answers (first: {})",
-            merged.wrong,
-            merged.first_mismatch.unwrap_or_default()
-        ));
-    }
-    Ok(())
+    let record = record! {
+        ..merged.fields(&quantiles);
+        "concurrency" => concurrency as u64,
+        "seed" => seed,
+        "api_verified" => merged.verified,
+        "wrong_answers" => merged.wrong,
+        "overloaded_retries" => merged.overloaded_retries,
+        "per_route" => Json::Arr(route_rows),
+    };
+    let fnv = harness::requests_fnv64(mix.raw.iter().map(|r| r.clone().into_bytes()));
+    harness::write_record(flags.opt("--out"), record, seed, fnv)?;
+    merged.check("http answers")
 }

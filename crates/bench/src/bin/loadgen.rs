@@ -1,12 +1,12 @@
-//! `loadgen` — the hft-serve load harness: replay a mixed analysis
+//! `loadgen` — the hft-serve load scenario: replay a mixed analysis
 //! workload against a running server (or a self-hosted one) at
 //! configurable concurrency, verify every answer byte-for-byte against
-//! direct `AnalysisSession` computation, and write latency percentiles +
-//! throughput to `BENCH_serve.json` at the workspace root.
+//! direct `AnalysisSession` computation, and report latency percentiles
+//! + throughput (a JSON record under `--out`).
 //!
 //! ```text
 //! # self-hosted (binds its own server on a free port):
-//! cargo run --release -p hft-bench --bin loadgen
+//! cargo run --release -p hft-bench --bin loadgen -- --out BENCH_serve.json
 //!
 //! # both protocols (json, bin), each on a fresh self-hosted server:
 //! cargo run --release -p hft-bench --bin loadgen -- --matrix
@@ -26,113 +26,39 @@
 //! concurrent duplicates share one evaluation).
 //!
 //! `--proto bin` negotiates the compact binary codec over the same
-//! frames; verification still byte-compares the *decoded* response
-//! re-encoded with the canonical JSON codec, so a wrong answer cannot
-//! hide behind a different wire format. `--matrix` self-hosts a fresh
-//! server per protocol and reports both cells plus the speedup of
-//! bin/evented over the json/evented baseline measured in the same run
-//! at the same settings. Each self-hosted cell starts with an empty
-//! flight recorder, so the traces it prints are its own.
+//! frames; the harness verifies the *decoded* response re-encoded with
+//! the canonical JSON codec, so a wrong answer cannot hide behind a
+//! different wire format. `--matrix` self-hosts a fresh server per
+//! protocol and reports both cells plus the speedup of bin/evented over
+//! the json/evented baseline measured in the same run at the same
+//! settings. Each self-hosted cell starts with an empty flight
+//! recorder, so the traces it prints are its own.
 //!
-//! `Overloaded` rejections are retried (and counted): backpressure is
-//! a protocol answer, not an error. A byte mismatch is a hard failure —
-//! the harness exits non-zero. Any latency bucket whose p90/p50 ratio
-//! exceeds 10x gets a loud `TAIL ALERT` line so queueing regressions
-//! fail visibly in CI smoke output.
+//! A byte mismatch is a hard failure — the harness exits non-zero. Any
+//! latency bucket whose p90/p50 ratio exceeds 10x gets a loud
+//! `TAIL ALERT` line so queueing regressions fail visibly in CI smoke
+//! output.
 
-use hft_bench::REPRO_SEED;
-use hft_corridor::{chicago_nj, generate};
-use hft_obs::{HistogramShard, RegistrySnapshot};
-use hft_serve::api::{Request, Response};
-use hft_serve::{Client, Proto, ServeConfig, Server, Service};
+use hft_bench::harness::{self, record, Flag, Flags, Load, Tally, Until, Verifier};
+use hft_obs::RegistrySnapshot;
+use hft_serve::json::Json;
+use hft_serve::{Proto, Request, Service, WireTrace};
 use hft_time::Date;
-use hft_uls::shard::shard_of_licensee;
-use std::collections::VecDeque;
+use hft_uls::shard::ShardStrategy;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::time::{Duration, Instant};
 
-struct Args {
-    connect: Option<String>,
-    seconds: f64,
-    concurrency: usize,
-    window: usize,
-    seed: u64,
-    shutdown_server: bool,
-    out: Option<String>,
-    shards: usize,
-    proto: Proto,
-    matrix: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut parsed = Args {
-        connect: None,
-        seconds: 5.0,
-        concurrency: 32,
-        window: 8,
-        seed: REPRO_SEED,
-        shutdown_server: false,
-        out: None,
-        shards: 0,
-        proto: Proto::Json,
-        matrix: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut need = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match a.as_str() {
-            "--connect" => parsed.connect = Some(need("--connect")?),
-            "--seconds" => {
-                parsed.seconds = need("--seconds")?
-                    .parse()
-                    .map_err(|_| "bad --seconds".to_string())?
-            }
-            "--concurrency" => {
-                parsed.concurrency = need("--concurrency")?
-                    .parse()
-                    .map_err(|_| "bad --concurrency".to_string())?
-            }
-            "--window" => {
-                parsed.window = need("--window")?
-                    .parse()
-                    .map_err(|_| "bad --window".to_string())?
-            }
-            "--seed" => {
-                parsed.seed = need("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_string())?
-            }
-            "--shutdown-server" => parsed.shutdown_server = true,
-            "--out" => parsed.out = Some(need("--out")?),
-            "--shards" => {
-                parsed.shards = need("--shards")?
-                    .parse()
-                    .map_err(|_| "bad --shards".to_string())?
-            }
-            "--proto" => {
-                let v = need("--proto")?;
-                parsed.proto = Proto::parse(&v).ok_or(format!("bad proto {v:?} (json|bin)"))?;
-            }
-            "--matrix" => parsed.matrix = true,
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}\nusage: loadgen [--connect ADDR] [--seconds S] \
-                     [--concurrency N] [--window N] [--seed N] [--shutdown-server] [--out PATH] \
-                     [--shards N] [--proto json|bin] [--matrix]"
-                ))
-            }
-        }
-    }
-    if parsed.concurrency == 0 || parsed.window == 0 {
-        return Err("--concurrency and --window must be positive".into());
-    }
-    if parsed.matrix && parsed.connect.is_some() {
-        return Err(
-            "--matrix self-hosts a server per combo; it cannot be used with --connect".into(),
-        );
-    }
-    Ok(parsed)
-}
+const FLAGS: &[Flag] = &[
+    Flag::Value("--connect", None),
+    Flag::Value("--seconds", Some("5")),
+    Flag::Value("--concurrency", Some("32")),
+    Flag::Value("--window", Some("8")),
+    harness::SEED,
+    Flag::Switch("--shutdown-server"),
+    harness::OUT,
+    Flag::Value("--shards", Some("0")),
+    Flag::Value("--proto", Some("json")),
+    Flag::Switch("--matrix"),
+];
 
 /// The mixed workload: the paper's query surface with hot-spot
 /// duplication (many clients asking the same things), which is what the
@@ -184,45 +110,36 @@ fn workload(licensees: &[String]) -> Vec<Request> {
         });
     }
     // Hot weather queries: few distinct computations, many repeats. The
-    // Monte Carlo is the one expensive, non-session-cached request.
-    let weather: Vec<Request> = licensees
+    // Monte Carlo is the one expensive, non-session-cached request. Hot
+    // race queries ride the same weather Monte Carlo, but behind the race
+    // engine's per-(pair, seed) cache — repeats after the first are cache
+    // hits, so the tail attribution shows where the cold computation
+    // lands.
+    let hot: Vec<(&String, &str)> = licensees
         .iter()
         .take(2)
-        .flat_map(|name| {
-            [("CME", "NY4"), ("CME", "NYSE")].map(|(from, to)| Request::Weather {
-                licensee: name.clone(),
-                date: d2020,
-                from: from.into(),
-                to: to.into(),
-                samples: 60_000,
-                seed: 7,
-            })
-        })
+        .flat_map(|name| [(name, "NY4"), (name, "NYSE")])
         .collect();
-    for i in 0..24 {
-        mix.push(weather[i % weather.len()].clone());
+    for &(name, to) in hot.iter().cycle().take(24) {
+        mix.push(Request::Weather {
+            licensee: name.clone(),
+            date: d2020,
+            from: "CME".into(),
+            to: to.into(),
+            samples: 60_000,
+            seed: 7,
+        });
     }
-    // Hot race queries: the cross-substrate latency race rides the same
-    // weather Monte Carlo, but behind the race engine's per-(pair, seed)
-    // cache — repeats after the first are cache hits, so the tail
-    // attribution shows where the cold computation lands.
-    let races: Vec<Request> = licensees
-        .iter()
-        .take(2)
-        .flat_map(|name| {
-            [("CME", "NY4"), ("CME", "NYSE")].map(|(from, to)| Request::Race {
-                licensee: name.clone(),
-                date: d2020,
-                from: from.into(),
-                to: to.into(),
-                constellation: "starlink".into(),
-                samples: 20_000,
-                seed: 7,
-            })
-        })
-        .collect();
-    for i in 0..12 {
-        mix.push(races[i % races.len()].clone());
+    for &(name, to) in hot.iter().cycle().take(12) {
+        mix.push(Request::Race {
+            licensee: name.clone(),
+            date: d2020,
+            from: "CME".into(),
+            to: to.into(),
+            constellation: "starlink".into(),
+            samples: 20_000,
+            seed: 7,
+        });
     }
     if let Some(name) = licensees.first() {
         mix.push(Request::StretchSweep {
@@ -234,592 +151,242 @@ fn workload(licensees: &[String]) -> Vec<Request> {
     mix
 }
 
-fn connect_retry(addr: &SocketAddr, proto: Proto, patience: Duration) -> Result<Client, String> {
-    let deadline = Instant::now() + patience;
-    loop {
-        match Client::connect_with(addr, proto) {
-            Ok(client) => return Ok(client),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("could not connect to {addr}: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(250));
-            }
-        }
-    }
-}
-
-/// Which latency bucket a request lands in when `--shards N` breakout
-/// is on: single-licensee requests belong to the owning shard under the
-/// fleet's licensee-hash routing; everything else is scatter-gathered
-/// across all shards and lands in the final "broadcast" bucket.
-fn attribution(mix: &[Request], shards: usize) -> Vec<usize> {
-    mix.iter()
-        .map(|req| match req {
-            Request::Network { licensee, .. }
-            | Request::Route { licensee, .. }
-            | Request::Apa { licensee, .. }
-            | Request::Weather { licensee, .. }
-            | Request::Race { licensee, .. }
-            | Request::StretchSweep { licensee, .. } => {
-                shard_of_licensee(licensee, shards) as usize
-            }
-            _ => shards,
-        })
-        .collect()
-}
-
-/// Label of attribution bucket `b` among `shards` shards.
-fn bucket_label(b: usize, shards: usize) -> String {
-    if b == shards {
-        "broadcast".to_string()
-    } else {
-        format!("shard{b}")
-    }
-}
-
-#[derive(Default)]
-struct PhaseResult {
-    completed: u64,
-    overloaded_retries: u64,
-    wrong: u64,
-    first_mismatch: Option<String>,
-    /// Per-connection latency shard (ns); shards merge across
-    /// connections with no loss versus single-shard recording.
-    latencies: HistogramShard,
-    /// Latency breakout by attribution bucket (`shards + 1` buckets,
-    /// the last one broadcast); empty when breakout is off.
-    by_bucket: Vec<HistogramShard>,
-    elapsed_s: f64,
-}
-
-impl PhaseResult {
-    fn rps(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.completed as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
-    }
-
-    fn merge(&mut self, other: PhaseResult) {
-        self.completed += other.completed;
-        self.overloaded_retries += other.overloaded_retries;
-        self.wrong += other.wrong;
-        if self.first_mismatch.is_none() {
-            self.first_mismatch = other.first_mismatch;
-        }
-        self.latencies.merge(&other.latencies);
-        if self.by_bucket.is_empty() {
-            self.by_bucket = other.by_bucket;
-        } else {
-            for (mine, theirs) in self.by_bucket.iter_mut().zip(&other.by_bucket) {
-                mine.merge(theirs);
-            }
-        }
-        self.elapsed_s = self.elapsed_s.max(other.elapsed_s);
-    }
-
-    fn percentile_ms(&self, q: f64) -> f64 {
-        self.latencies.snapshot().percentile(q) as f64 / 1e6
-    }
-
-    fn max_ms(&self) -> f64 {
-        self.latencies.snapshot().max as f64 / 1e6
-    }
-}
-
 /// Emit a loud alert when the p90/p50 ratio of a latency population
 /// exceeds 10x — the tail is no longer a tail, it's a queueing or
 /// skew pathology, and it should jump out of CI smoke output.
-fn tail_alert(label: &str, snapshot: &hft_obs::HistogramSnapshot) {
-    if snapshot.count == 0 {
-        return;
-    }
-    let p50 = snapshot.percentile(0.50) as f64 / 1e6;
-    let p90 = snapshot.percentile(0.90) as f64 / 1e6;
-    if p50 > 0.0 && p90 / p50 > 10.0 {
-        println!(
-            "TAIL ALERT [{label}]: p90/p50 = {:.1}x exceeds 10x (p50 {p50:.3} ms, p90 {p90:.3} ms)",
-            p90 / p50
-        );
+fn tail_alert(label: &str, latencies: &hft_obs::HistogramShard) {
+    if let [(_, p50), (_, p90)] = harness::quantiles_ms(latencies, &["p50", "p90"])[..] {
+        if p50 > 0.0 && p90 / p50 > 10.0 {
+            println!(
+                "TAIL ALERT [{label}]: p90/p50 = {:.1}x exceeds 10x (p50 {p50:.3} ms, p90 {p90:.3} ms)",
+                p90 / p50
+            );
+        }
     }
 }
 
-/// Drive one connection: keep up to `window` requests in flight, cycle
-/// the workload starting at `offset`, stop issuing at the deadline, then
-/// drain. Every non-`Overloaded` answer is decoded and byte-compared to
-/// `expected` after re-encoding with the canonical JSON codec — the
-/// verification is wire-format independent.
-fn drive(
-    client: &mut Client,
-    mix: &[Request],
-    expected: &[Vec<u8>],
-    attr: Option<&[usize]>,
-    offset: usize,
-    window: usize,
-    deadline: Instant,
-) -> Result<PhaseResult, String> {
-    let mut result = PhaseResult::default();
-    if let Some(attr) = attr {
-        let buckets = attr.iter().max().map_or(0, |m| m + 1);
-        result.by_bucket = (0..buckets).map(|_| HistogramShard::default()).collect();
-    }
-    let mut next = offset % mix.len();
-    let mut resend: VecDeque<usize> = VecDeque::new();
-    let mut pending: VecDeque<(usize, Instant)> = VecDeque::new();
-    let io = |e: std::io::Error| format!("loadgen IO: {e}");
-    loop {
-        let now = Instant::now();
-        let mut queued = false;
-        while pending.len() < window && now < deadline {
-            let idx = resend.pop_front().unwrap_or_else(|| {
-                let idx = next;
-                next = (next + 1) % mix.len();
-                idx
-            });
-            client.send(&mix[idx]).map_err(io)?;
-            pending.push_back((idx, Instant::now()));
-            queued = true;
-        }
-        if queued {
-            client.flush().map_err(io)?;
-        }
-        let Some((idx, sent)) = pending.pop_front() else {
-            break; // past the deadline with nothing in flight
-        };
-        let response = client.recv().map_err(io)?;
-        if response == Response::Overloaded {
-            result.overloaded_retries += 1;
-            resend.push_back(idx);
-            continue;
-        }
-        let latency_ns = sent.elapsed().as_nanos() as u64;
-        result.latencies.record(latency_ns);
-        if let Some(attr) = attr {
-            result.by_bucket[attr[idx]].record(latency_ns);
-        }
-        result.completed += 1;
-        let got = response.encode();
-        if got != expected[idx] {
-            result.wrong += 1;
-            if result.first_mismatch.is_none() {
-                result.first_mismatch = Some(format!(
-                    "request {:?}\n  want {}\n  got  {}",
-                    mix[idx],
-                    String::from_utf8_lossy(&expected[idx]),
-                    String::from_utf8_lossy(&got),
-                ));
-            }
-        }
-    }
-    Ok(result)
-}
-
-fn run_serial(
-    addr: &SocketAddr,
-    proto: Proto,
-    mix: &[Request],
-    expected: &[Vec<u8>],
-    attr: Option<&[usize]>,
-    seconds: f64,
-) -> Result<PhaseResult, String> {
-    let mut client = connect_retry(addr, proto, Duration::from_secs(180))?;
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(seconds);
-    let mut result = drive(&mut client, mix, expected, attr, 0, 1, deadline)?;
-    result.elapsed_s = started.elapsed().as_secs_f64();
-    Ok(result)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_concurrent(
-    addr: &SocketAddr,
-    proto: Proto,
-    mix: &[Request],
-    expected: &[Vec<u8>],
-    attr: Option<&[usize]>,
-    seconds: f64,
-    concurrency: usize,
-    window: usize,
-) -> Result<PhaseResult, String> {
-    // Connect everyone first so the timed window measures serving, not
-    // connection setup.
-    let mut clients: Vec<Client> = Vec::with_capacity(concurrency);
-    for _ in 0..concurrency {
-        clients.push(connect_retry(addr, proto, Duration::from_secs(180))?);
-    }
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(seconds);
-    let outcomes: Vec<Result<PhaseResult, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = clients
-            .iter_mut()
-            .enumerate()
-            .map(|(i, client)| {
-                scope.spawn(move || drive(client, mix, expected, attr, i * 13, window, deadline))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut merged = PhaseResult::default();
-    for outcome in outcomes {
-        merged.merge(outcome?);
-    }
-    merged.elapsed_s = started.elapsed().as_secs_f64();
-    Ok(merged)
-}
-
-/// Where the wire time went during one self-hosted combo: deltas of the
+/// Where the wire time went during one self-hosted cell: deltas of the
 /// server's `serve.decode_ns`/`serve.encode_ns`/`serve.poll_wake_ns`
-/// histograms and buffer-pool counters between two registry snapshots
-/// (the registry is process-global and cumulative, so each combo is the
-/// after-minus-before difference).
-#[derive(Default, Clone, Copy)]
-struct WireSample {
-    decode_count: u64,
-    decode_mean_ns: f64,
-    encode_count: u64,
-    encode_mean_ns: f64,
-    poll_wake_count: u64,
-    poll_wake_mean_ns: f64,
-    bufpool_hits: u64,
-    bufpool_misses: u64,
-}
-
-impl WireSample {
-    fn delta(before: &RegistrySnapshot, after: &RegistrySnapshot) -> WireSample {
-        let d = hft_obs::registry::delta(before, after);
-        let hist = |name: &str| {
-            let h = d.histogram(name);
-            (h.count, h.mean())
-        };
-        let (decode_count, decode_mean_ns) = hist("serve.decode_ns");
-        let (encode_count, encode_mean_ns) = hist("serve.encode_ns");
-        let (poll_wake_count, poll_wake_mean_ns) = hist("serve.poll_wake_ns");
-        WireSample {
-            decode_count,
-            decode_mean_ns,
-            encode_count,
-            encode_mean_ns,
-            poll_wake_count,
-            poll_wake_mean_ns,
-            bufpool_hits: d.counter("serve.bufpool_hits"),
-            bufpool_misses: d.counter("serve.bufpool_misses"),
-        }
-    }
-
-    fn bufpool_hit_rate(&self) -> f64 {
-        let total = self.bufpool_hits + self.bufpool_misses;
-        if total > 0 {
-            self.bufpool_hits as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"decode_count\": {}, \"decode_mean_ns\": {}, \"encode_count\": {}, \
-             \"encode_mean_ns\": {}, \"poll_wake_count\": {}, \"poll_wake_mean_ns\": {}, \
-             \"bufpool_hits\": {}, \"bufpool_misses\": {}}}",
-            self.decode_count,
-            fmt(self.decode_mean_ns),
-            self.encode_count,
-            fmt(self.encode_mean_ns),
-            self.poll_wake_count,
-            fmt(self.poll_wake_mean_ns),
-            self.bufpool_hits,
-            self.bufpool_misses,
-        )
-    }
+/// histograms and buffer-pool counters since `before` (the registry is
+/// process-global and cumulative, so each cell is the after-minus-before
+/// difference), as a report line and the record's `wire` block.
+fn wire_sample(before: &RegistrySnapshot) -> (String, Json) {
+    let d = hft_obs::registry::delta(before, &hft_obs::global().snapshot());
+    let decode = d.histogram("serve.decode_ns");
+    let encode = d.histogram("serve.encode_ns");
+    let wake = d.histogram("serve.poll_wake_ns");
+    let (hits, misses) = (
+        d.counter("serve.bufpool_hits"),
+        d.counter("serve.bufpool_misses"),
+    );
+    let line = format!(
+        "wire: decode {:.1} us mean (n={}), encode {:.1} us mean (n={}), poll wake \
+         {:.1} us mean (n={}), bufpool {:.1}% hit",
+        decode.mean() / 1e3,
+        decode.count,
+        encode.mean() / 1e3,
+        encode.count,
+        wake.mean() / 1e3,
+        wake.count,
+        hits as f64 / (hits + misses).max(1) as f64 * 100.0,
+    );
+    let json = Json::Obj(record! {
+        "decode_count" => decode.count,
+        "decode_mean_ns" => decode.mean(),
+        "encode_count" => encode.count,
+        "encode_mean_ns" => encode.mean(),
+        "poll_wake_count" => wake.count,
+        "poll_wake_mean_ns" => wake.mean(),
+        "bufpool_hits" => hits,
+        "bufpool_misses" => misses,
+    });
+    (line, json)
 }
 
 /// One protocol cell of the benchmark matrix.
-struct ComboResult {
+struct Combo {
     proto: Proto,
-    /// True when the server is external (`--connect`), not self-hosted.
-    remote: bool,
-    serial: PhaseResult,
-    concurrent: PhaseResult,
-    /// Server-side wire attribution; only available when the server
-    /// shares this process (self-hosted runs).
-    wire: Option<WireSample>,
+    /// `remote` for an external server (`--connect`), else `evented`.
+    io: &'static str,
+    serial: Tally,
+    concurrent: Tally,
+    /// Server-side wire attribution (report line, record block); only
+    /// available when the server shares this process (self-hosted runs).
+    wire: Option<(String, Json)>,
     /// The slowest captured traces, pulled from the server's flight
     /// recorder after the concurrent phase — the waterfall behind any
     /// `TAIL ALERT` this cell prints.
-    traces: Vec<hft_serve::WireTrace>,
+    traces: Vec<WireTrace>,
 }
 
-impl ComboResult {
-    fn io_name(&self) -> &'static str {
-        if self.remote {
-            "remote"
-        } else {
-            "evented"
-        }
+impl Combo {
+    fn label(&self) -> String {
+        format!("{}/{}", self.proto.name(), self.io)
     }
 
-    fn label(&self) -> String {
-        format!("{}/{}", self.proto.name(), self.io_name())
+    fn speedup(&self) -> f64 {
+        if self.serial.rps() > 0.0 {
+            self.concurrent.rps() / self.serial.rps()
+        } else {
+            0.0
+        }
     }
 
     fn print(&self) {
-        let serial = &self.serial;
-        let concurrent = &self.concurrent;
+        let (serial, concurrent) = (&self.serial, &self.concurrent);
         println!("=== {} ===", self.label());
+        println!("serial:     {}", serial.line(&["p50", "max"]));
+        let concurrent_quantiles = ["p50", "p90", "p95", "p99", "p999", "max"];
+        println!("concurrent: {}", concurrent.line(&concurrent_quantiles));
         println!(
-            "serial:     {:>8} requests  {:>9.0} rps  p50 {:.3} ms  max {:.3} ms",
-            serial.completed,
-            serial.rps(),
-            serial.percentile_ms(0.50),
-            serial.max_ms(),
-        );
-        println!(
-            "concurrent: {:>8} requests  {:>9.0} rps  p50 {:.3} ms  p90 {:.3} ms  p95 {:.3} ms  \
-             p99 {:.3} ms  p999 {:.3} ms  max {:.3} ms",
-            concurrent.completed,
-            concurrent.rps(),
-            concurrent.percentile_ms(0.50),
-            concurrent.percentile_ms(0.90),
-            concurrent.percentile_ms(0.95),
-            concurrent.percentile_ms(0.99),
-            concurrent.percentile_ms(0.999),
-            concurrent.max_ms(),
-        );
-        let speedup = if serial.rps() > 0.0 {
-            concurrent.rps() / serial.rps()
-        } else {
-            0.0
-        };
-        println!(
-            "speedup {speedup:.1}x, {} overloaded retries, {} wrong answers",
+            "speedup {:.1}x, {} overloaded retries, {} wrong answers",
+            self.speedup(),
             serial.overloaded_retries + concurrent.overloaded_retries,
             serial.wrong + concurrent.wrong
         );
-        if let Some(wire) = &self.wire {
-            println!(
-                "wire: decode {:.1} us mean (n={}), encode {:.1} us mean (n={}), poll wake \
-                 {:.1} us mean (n={}), bufpool {:.1}% hit",
-                wire.decode_mean_ns / 1e3,
-                wire.decode_count,
-                wire.encode_mean_ns / 1e3,
-                wire.encode_count,
-                wire.poll_wake_mean_ns / 1e3,
-                wire.poll_wake_count,
-                wire.bufpool_hit_rate() * 100.0,
-            );
+        if let Some((line, _)) = &self.wire {
+            println!("{line}");
         }
         tail_alert(
             &format!("{} concurrent", self.label()),
-            &concurrent.latencies.snapshot(),
+            &concurrent.latencies,
         );
-        if !self.traces.is_empty() {
-            println!("slowest captured traces:");
-            for t in &self.traces {
-                print!("{}", t.render());
-            }
+        harness::print_traces("", &self.traces);
+    }
+
+    /// The cell's `proto`, `io`, `serial` and `concurrent` fields, with
+    /// `wrong` as the concurrent block's `wrong_answers`.
+    fn fields(&self, concurrency: usize, window: usize, wrong: u64) -> Vec<(String, Json)> {
+        let concurrent = record! {
+            ..self.concurrent.fields(&["p50", "p90", "p95", "p99", "p999", "max"]);
+            "concurrency" => concurrency as u64,
+            "window" => window as u64,
+            "overloaded_retries" => self.concurrent.overloaded_retries,
+            "wrong_answers" => wrong,
+        };
+        record! {
+            "proto" => self.proto.name(),
+            "io" => self.io,
+            "serial" => Json::Obj(self.serial.fields(&["p50", "max"])),
+            "concurrent" => Json::Obj(concurrent),
         }
-    }
-
-    fn json(&self, args: &Args) -> String {
-        let serial = &self.serial;
-        let concurrent = &self.concurrent;
-        let wire = self
-            .wire
-            .as_ref()
-            .map(|w| format!(", \"wire\": {}", w.json()))
-            .unwrap_or_default();
-        format!(
-            "{{\"proto\": \"{}\", \"io\": \"{}\", \
-             \"serial\": {{\"requests\": {}, \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \
-             \"max_ms\": {}}}, \
-             \"concurrent\": {{\"concurrency\": {}, \"window\": {}, \"requests\": {}, \
-             \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \"p95_ms\": {}, \
-             \"p99_ms\": {}, \"p999_ms\": {}, \"max_ms\": {}, \"overloaded_retries\": {}, \
-             \"wrong_answers\": {}}}{wire}}}",
-            self.proto.name(),
-            self.io_name(),
-            serial.completed,
-            fmt(serial.elapsed_s),
-            fmt(serial.rps()),
-            fmt(serial.percentile_ms(0.50)),
-            fmt(serial.max_ms()),
-            args.concurrency,
-            args.window,
-            concurrent.completed,
-            fmt(concurrent.elapsed_s),
-            fmt(concurrent.rps()),
-            fmt(concurrent.percentile_ms(0.50)),
-            fmt(concurrent.percentile_ms(0.90)),
-            fmt(concurrent.percentile_ms(0.95)),
-            fmt(concurrent.percentile_ms(0.99)),
-            fmt(concurrent.percentile_ms(0.999)),
-            fmt(concurrent.max_ms()),
-            concurrent.overloaded_retries,
-            serial.wrong + concurrent.wrong,
-        )
-    }
-}
-
-fn fmt(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
     }
 }
 
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    harness::main(run)
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    eprintln!("generating corpus (seed {})...", args.seed);
-    let eco = generate(&chicago_nj(), args.seed);
-    let mut licensees = eco.connected_2020.clone();
-    licensees.sort();
+    let flags = Flags::from_env("loadgen", FLAGS)?;
+    let seconds: f64 = flags.get("--seconds")?;
+    let concurrency = flags.positive("--concurrency")?;
+    let window = flags.positive("--window")?;
+    let shards: usize = flags.get("--shards")?;
+    let seed: u64 = flags.get("--seed")?;
+    let proto = flags.get::<String>("--proto")?;
+    let proto = Proto::parse(&proto).ok_or(format!("bad proto {proto:?} (json|bin)"))?;
+    let matrix = flags.on("--matrix");
+    if matrix && flags.opt("--connect").is_some() {
+        return Err(
+            "--matrix self-hosts a server per combo; it cannot be used with --connect".into(),
+        );
+    }
+    let (eco, licensees) = harness::corpus(seed);
     let mix = workload(&licensees);
 
     // Ground truth: the same requests answered by a direct in-process
     // session, encoded with the same canonical codec.
     eprintln!("computing {} expected answers locally...", mix.len());
-    let reference = Service::new(&eco.db);
-    let expected: Vec<Vec<u8>> = mix.iter().map(|r| reference.handle(r).encode()).collect();
+    let verifier = Verifier::fixed(&Service::new(&eco.db), &mix);
 
     // Optional per-shard latency breakout: attribute each request to the
     // shard a licensee-hash fleet would route it to (last bucket =
     // broadcast). This is client-side bookkeeping — it works against any
     // server and lets the p90-vs-p50 queueing gap be pinned on a shard.
-    let attr = (args.shards > 0).then(|| attribution(&mix, args.shards));
-    let attr = attr.as_deref();
+    let bucket_of = if shards > 0 {
+        harness::attribution(&mix, shards, ShardStrategy::LicenseeHash)
+    } else {
+        Vec::new()
+    };
+    let load = |window| Load {
+        mix: &mix,
+        verifier: &verifier,
+        bucket_of: &bucket_of,
+        window,
+    };
 
-    // Warm + serial + concurrent against one server, optionally asking
-    // it to shut down afterwards.
-    let run_phases = |addr: &SocketAddr,
-                      proto: Proto,
-                      shutdown: bool|
-     -> Result<(PhaseResult, PhaseResult, Vec<hft_serve::WireTrace>), String> {
-        // Warm pass: every distinct request once, so both timed phases
-        // hit a warm server (the acceptance setup).
-        let mut warm = connect_retry(addr, proto, Duration::from_secs(180))?;
-        for request in &mix {
-            loop {
-                let response = warm.call(request).map_err(|e| format!("warmup: {e}"))?;
-                if response != Response::Overloaded {
-                    break;
-                }
-            }
-        }
-        eprintln!("warm; serial phase ({:.1}s)...", args.seconds);
-        let serial = run_serial(addr, proto, &mix, &expected, attr, args.seconds)?;
+    // Warm (every request once, so both timed phases hit a warm server),
+    // then the serial and the concurrent phase against one server.
+    let phases = |addr: SocketAddr, proto: Proto| -> Result<(Tally, Tally), String> {
+        harness::warm(&addr, proto, &mix)?;
+        eprintln!("warm; serial phase ({seconds:.1}s)...");
+        let conn = vec![harness::connect_retry(&addr, proto)?];
+        let serial = harness::run(conn, &load(1), |_| 0, Until::Seconds(seconds))?;
         eprintln!(
-            "serial: {} requests in {:.2}s = {:.0} rps; concurrent phase ({} conns, window {})...",
+            "serial: {} requests in {:.2}s = {:.0} rps; concurrent phase ({concurrency} conns, \
+             window {window})...",
             serial.completed,
             serial.elapsed_s,
             serial.rps(),
-            args.concurrency,
-            args.window
         );
-        let concurrent = run_concurrent(
-            addr,
-            proto,
-            &mix,
-            &expected,
-            attr,
-            args.seconds,
-            args.concurrency,
-            args.window,
-        )?;
-        // Pull the slowest captured traces before (optionally) shutting
-        // the server down, so a TAIL ALERT is followed by the actual
-        // waterfalls behind the tail. Best-effort: a pre-tracing server
-        // answering an error just means no waterfalls.
-        let mut c = connect_retry(addr, proto, Duration::from_secs(30))?;
-        let traces = match c.call(&Request::Traces {
-            limit: 3,
-            trace_id: None,
-        }) {
-            Ok(Response::Traces { traces }) => traces,
-            _ => Vec::new(),
-        };
-        if shutdown {
-            let ack = c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
-            if ack != Response::ShuttingDown {
-                return Err(format!("shutdown not acknowledged: {ack:?}"));
-            }
-        }
-        Ok((serial, concurrent, traces))
+        // Connect everyone first so the timed window measures serving,
+        // not connection setup.
+        let conns = (0..concurrency)
+            .map(|_| harness::connect_retry(&addr, proto))
+            .collect::<Result<Vec<_>, _>>()?;
+        let concurrent = harness::run(conns, &load(window), |i| i * 13, Until::Seconds(seconds))?;
+        Ok((serial, concurrent))
     };
 
-    // Self-host one protocol cell on a fresh server and fresh port; the
-    // worker pool is sized identically for every cell so cells are
-    // comparable. The flight recorder is process-wide, so it is emptied
-    // first: a cell reports only traces captured while it ran.
-    let self_host = |proto: Proto| -> Result<ComboResult, String> {
-        hft_obs::clear_traces();
-        let server = Server::bind(ServeConfig {
-            addr: "127.0.0.1:0".into(),
-            workers: (args.concurrency * args.window).clamp(8, 256),
-            queue_depth: (args.concurrency * args.window).max(64),
-            ..ServeConfig::default()
-        })
-        .map_err(|e| e.to_string())?;
-        let addr = server.local_addr().map_err(|e| e.to_string())?;
-        eprintln!("[{}/evented] self-hosting on {addr}", proto.name());
-        let before = hft_obs::global().snapshot();
-        let (serial, concurrent, traces) = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| server.run(&eco.db));
-            let phases = run_phases(&addr, proto, true);
-            let stats = handle.join().expect("server thread");
-            stats.map_err(|e| e.to_string())?;
-            phases
-        })?;
-        let wire = WireSample::delta(&before, &hft_obs::global().snapshot());
-        Ok(ComboResult {
-            proto,
-            remote: false,
-            serial,
-            concurrent,
-            wire: Some(wire),
-            traces,
-        })
-    };
-
-    let combos: Vec<ComboResult> = match &args.connect {
+    let combos: Vec<Combo> = match flags.opt("--connect") {
         Some(spec) => {
             let addr = spec
                 .to_socket_addrs()
                 .map_err(|e| format!("bad --connect {spec:?}: {e}"))?
                 .next()
                 .ok_or(format!("--connect {spec:?} resolved to nothing"))?;
-            let (serial, concurrent, traces) = run_phases(&addr, args.proto, args.shutdown_server)?;
-            vec![ComboResult {
-                proto: args.proto,
-                remote: true,
+            let (serial, concurrent) = phases(addr, proto)?;
+            let traces = harness::finish(&addr, flags.on("--shutdown-server"))?;
+            vec![Combo {
+                proto,
+                io: "remote",
                 serial,
                 concurrent,
                 wire: None,
                 traces,
             }]
         }
-        None if args.matrix => {
-            // The matrix baseline cell (json) runs first, the acceptance
-            // cell (bin) last; every cell gets a fresh server at
-            // identical settings.
-            let mut combos = Vec::with_capacity(2);
-            for proto in [Proto::Json, Proto::Binary] {
-                combos.push(self_host(proto)?);
-            }
-            combos
+        // The matrix baseline cell (json) runs first, the acceptance cell
+        // (bin) last; every cell gets a fresh server whose worker pool is
+        // sized identically, so cells are comparable.
+        None => {
+            let protos = if matrix {
+                vec![Proto::Json, Proto::Binary]
+            } else {
+                vec![proto]
+            };
+            let width = concurrency * window;
+            let cell = |proto: Proto| -> Result<Combo, String> {
+                let before = hft_obs::global().snapshot();
+                let serve = |server: &hft_serve::Server| server.run(&eco.db);
+                let hosted =
+                    harness::self_host(width.clamp(8, 256), width.max(64), serve, |addr| {
+                        eprintln!("[{}/evented] self-hosting on {addr}", proto.name());
+                        phases(addr, proto)
+                    })?;
+                let ((serial, concurrent), traces, _) = hosted;
+                Ok(Combo {
+                    proto,
+                    io: "evented",
+                    serial,
+                    concurrent,
+                    wire: Some(wire_sample(&before)),
+                    traces,
+                })
+            };
+            protos.into_iter().map(cell).collect::<Result<_, _>>()?
         }
-        None => vec![self_host(args.proto)?],
     };
 
     for combo in &combos {
@@ -830,142 +397,74 @@ fn run() -> Result<(), String> {
     // the matrix ran, otherwise the single cell that was measured.
     let primary = combos
         .iter()
-        .find(|c| c.proto == Proto::Binary && !c.remote)
+        .find(|c| c.proto == Proto::Binary && c.io == "evented")
         .unwrap_or(&combos[0]);
-    let baseline = combos.iter().find(|c| c.proto == Proto::Json && !c.remote);
-    let matrix_speedup = baseline.and_then(|b| {
-        (args.matrix && b.concurrent.rps() > 0.0)
-            .then(|| primary.concurrent.rps() / b.concurrent.rps())
-    });
-    if let Some(speedup) = matrix_speedup {
+    let baseline = combos
+        .iter()
+        .find(|c| c.proto == Proto::Json && c.io == "evented");
+    let matrix_speedup = baseline.filter(|b| matrix && b.concurrent.rps() > 0.0);
+    let wrong_total: u64 = combos
+        .iter()
+        .map(|c| c.serial.wrong + c.concurrent.wrong)
+        .sum();
+    let runs: Vec<Json> = combos
+        .iter()
+        .map(|c| {
+            let mut run = c.fields(concurrency, window, c.serial.wrong + c.concurrent.wrong);
+            run.extend(c.wire.clone().map(|(_, w)| ("wire".to_string(), w)));
+            Json::Obj(run)
+        })
+        .collect();
+    // Top-level serial/concurrent mirror the primary cell so existing
+    // consumers of the serve record keep working; "runs" carries every
+    // measured protocol cell.
+    let mut record = record! {
+        ..primary.fields(concurrency, window, wrong_total);
+        "workload" => Json::Obj(record! {
+            "distinct_requests" => mix.len() as u64,
+            "seed" => seed,
+        }),
+        "speedup" => primary.speedup(),
+        "runs" => Json::Arr(runs),
+    };
+    if let Some(baseline) = matrix_speedup {
+        let speedup = primary.concurrent.rps() / baseline.concurrent.rps();
         println!(
             "matrix: bin/evented {:.0} rps vs json/evented {:.0} rps = {speedup:.2}x",
             primary.concurrent.rps(),
-            baseline.unwrap().concurrent.rps(),
+            baseline.concurrent.rps(),
         );
+        record.extend(record! { "speedup_bin_vs_json" => speedup });
     }
 
     // Per-shard breakout of the primary cell's concurrent phase: where
     // does the tail live? The bucket with the widest p90-p50 gap is the
     // queueing culprit — a shard, or the broadcast fan-out.
-    let mut per_shard_json = String::new();
-    if args.shards > 0 {
+    if shards > 0 {
+        let quantiles = ["p50", "p90", "p99", "p999", "max"];
+        let buckets = &primary.concurrent.by_bucket;
+        let label = |b| harness::bucket_label(b, shards);
+        let rows = harness::breakout(buckets, label, ("label", "requests"), &quantiles);
         let mut worst: Option<(String, f64)> = None;
-        let entries: Vec<String> = primary
-            .concurrent
-            .by_bucket
-            .iter()
-            .enumerate()
-            .map(|(b, shard)| {
-                let snap = shard.snapshot();
-                let label = bucket_label(b, args.shards);
-                let p50 = snap.percentile(0.50) as f64 / 1e6;
-                let p90 = snap.percentile(0.90) as f64 / 1e6;
-                let p99 = snap.percentile(0.99) as f64 / 1e6;
-                let p999 = snap.percentile(0.999) as f64 / 1e6;
-                let max = snap.max as f64 / 1e6;
-                let gap = p90 - p50;
-                if shard.count() > 0 && worst.as_ref().is_none_or(|(_, g)| gap > *g) {
-                    worst = Some((label.clone(), gap));
-                }
-                println!(
-                    "  {label:<10} {:>8} requests  p50 {p50:.3} ms  p90 {p90:.3} ms  \
-                     p99 {p99:.3} ms  p999 {p999:.3} ms  max {max:.3} ms",
-                    shard.count(),
-                );
-                tail_alert(&label, &snap);
-                format!(
-                    "{{\"label\": \"{label}\", \"requests\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \
-                     \"p99_ms\": {}, \"p999_ms\": {}, \"max_ms\": {}}}",
-                    shard.count(),
-                    fmt(p50),
-                    fmt(p90),
-                    fmt(p99),
-                    fmt(p999),
-                    fmt(max),
-                )
-            })
-            .collect();
+        for (b, shard) in buckets.iter().enumerate().filter(|(_, h)| h.count() > 0) {
+            tail_alert(&label(b), shard);
+            let q = harness::quantiles_ms(shard, &["p50", "p90"]);
+            let gap = q[1].1 - q[0].1;
+            if worst.as_ref().is_none_or(|(_, g)| gap > *g) {
+                worst = Some((label(b), gap));
+            }
+        }
         if let Some((label, gap)) = &worst {
             println!("  widest p90-p50 gap: {label} ({gap:.3} ms)");
         }
-        per_shard_json = format!(",\n\"per_shard\": [{}]", entries.join(", "));
+        record.extend(record! { "per_shard" => Json::Arr(rows) });
     }
 
-    let speedup = if primary.serial.rps() > 0.0 {
-        primary.concurrent.rps() / primary.serial.rps()
-    } else {
-        0.0
-    };
-    let wrong_total: u64 = combos
-        .iter()
-        .map(|c| c.serial.wrong + c.concurrent.wrong)
-        .sum();
-    let runs_json: Vec<String> = combos.iter().map(|c| c.json(&args)).collect();
-    let matrix_json = matrix_speedup
-        .map(|s| format!(",\n\"speedup_bin_vs_json\": {}", fmt(s)))
-        .unwrap_or_default();
-
-    // Top-level serial/concurrent mirror the primary cell so existing
-    // consumers of BENCH_serve.json keep working; "runs" carries every
-    // measured protocol cell.
-    let json = format!(
-        "{{\n\
-         \"workload\": {{\"distinct_requests\": {}, \"seed\": {}}},\n\
-         \"proto\": \"{}\", \"io\": \"{}\",\n\
-         \"serial\": {{\"requests\": {}, \"seconds\": {}, \"rps\": {}, \"p50_ms\": {}, \
-         \"max_ms\": {}}},\n\
-         \"concurrent\": {{\"concurrency\": {}, \"window\": {}, \"requests\": {}, \"seconds\": {}, \
-         \"rps\": {}, \"p50_ms\": {}, \"p90_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \
-         \"p999_ms\": {}, \"max_ms\": {}, \"overloaded_retries\": {}, \"wrong_answers\": {}}},\n\
-         \"speedup\": {},\n\
-         \"runs\": [{}]{}{}\n}}\n",
-        mix.len(),
-        args.seed,
-        primary.proto.name(),
-        primary.io_name(),
-        primary.serial.completed,
-        fmt(primary.serial.elapsed_s),
-        fmt(primary.serial.rps()),
-        fmt(primary.serial.percentile_ms(0.50)),
-        fmt(primary.serial.max_ms()),
-        args.concurrency,
-        args.window,
-        primary.concurrent.completed,
-        fmt(primary.concurrent.elapsed_s),
-        fmt(primary.concurrent.rps()),
-        fmt(primary.concurrent.percentile_ms(0.50)),
-        fmt(primary.concurrent.percentile_ms(0.90)),
-        fmt(primary.concurrent.percentile_ms(0.95)),
-        fmt(primary.concurrent.percentile_ms(0.99)),
-        fmt(primary.concurrent.percentile_ms(0.999)),
-        fmt(primary.concurrent.max_ms()),
-        primary.concurrent.overloaded_retries,
-        wrong_total,
-        fmt(speedup),
-        runs_json.join(",\n"),
-        matrix_json,
-        per_shard_json,
-    );
-    let path = args
-        .out
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json").into());
-    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path}");
-
-    if wrong_total > 0 {
-        let detail = combos
-            .iter()
-            .flat_map(|c| {
-                c.serial
-                    .first_mismatch
-                    .clone()
-                    .into_iter()
-                    .chain(c.concurrent.first_mismatch.clone())
-            })
-            .next()
-            .unwrap_or_default();
-        return Err(format!("byte mismatch against direct session:\n{detail}"));
+    let fnv = harness::requests_fnv64(mix.iter().map(Request::encode));
+    harness::write_record(flags.opt("--out"), record, seed, fnv)?;
+    for c in &combos {
+        c.serial.check(&format!("{} serial", c.label()))?;
+        c.concurrent.check(&format!("{} concurrent", c.label()))?;
     }
     Ok(())
 }

@@ -1,83 +1,38 @@
-//! `raceload` — the latency-race acceptance harness: serve a sharded
+//! `raceload` — the latency-race acceptance scenario: serve a sharded
 //! corpus behind a [`hft_serve::ShardRouter`] fleet and hammer it with
 //! repeated [`Request::Race`] / [`Request::StretchSweep`] queries over
 //! *both* wire protocols, byte-verifying every answer against a direct
-//! single-corpus [`hft_serve::Service`] over the same corpus. Writes
-//! `BENCH_race.json` at the workspace root.
+//! single-corpus [`hft_serve::Service`] over the same corpus. Writes a
+//! JSON record under `--out`.
 //!
 //! ```text
-//! cargo run --release -p hft-bench --bin raceload
+//! cargo run --release -p hft-bench --bin raceload -- --out BENCH_race.json
 //! cargo run --release -p hft-bench --bin raceload -- --seconds 1 --shards 3
 //! ```
 //!
 //! The workload is deliberately repetitive: a handful of distinct
 //! (licensee, pair, samples, seed) races asked over and over, which is
 //! the race engine's design point — the §5 weather Monte Carlo runs
-//! once per distinct key and every repeat is a cache hit. The harness
+//! once per distinct key and every repeat is a cache hit. The scenario
 //! snapshots the `race.mc_cache{outcome=...}` counters around the
 //! serving window and fails unless the hit rate clears 80%, alongside
 //! the hard failure on any byte mismatch. Latency percentiles are
 //! reported per protocol so the JSON-vs-binary codec gap on the
 //! race-heavy mix is measured in the same run.
 
-use hft_bench::REPRO_SEED;
-use hft_corridor::{chicago_nj, generate};
+use hft_bench::harness::{self, record, Flag, Flags, Load, Until, Verifier};
 use hft_ingest::ShardedStore;
-use hft_obs::HistogramShard;
-use hft_serve::api::{Request, Response};
-use hft_serve::{Client, Proto, ServeConfig, Server, Service, ShardRouter};
+use hft_serve::json::Json;
+use hft_serve::{Proto, Request, Service, ShardRouter};
 use hft_time::Date;
 use hft_uls::shard::ShardStrategy;
-use std::net::SocketAddr;
-use std::time::{Duration, Instant};
 
-struct Args {
-    seconds: f64,
-    shards: usize,
-    seed: u64,
-    out: Option<String>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut parsed = Args {
-        seconds: 2.0,
-        shards: 2,
-        seed: REPRO_SEED,
-        out: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut need = |name: &str| args.next().ok_or(format!("{name} needs a value"));
-        match a.as_str() {
-            "--seconds" => {
-                parsed.seconds = need("--seconds")?
-                    .parse()
-                    .map_err(|_| "bad --seconds".to_string())?
-            }
-            "--shards" => {
-                parsed.shards = need("--shards")?
-                    .parse()
-                    .map_err(|_| "bad --shards".to_string())?
-            }
-            "--seed" => {
-                parsed.seed = need("--seed")?
-                    .parse()
-                    .map_err(|_| "bad --seed".to_string())?
-            }
-            "--out" => parsed.out = Some(need("--out")?),
-            other => {
-                return Err(format!(
-                    "unknown argument {other:?}\nusage: raceload [--seconds S] [--shards N] \
-                     [--seed N] [--out PATH]"
-                ))
-            }
-        }
-    }
-    if parsed.shards == 0 {
-        return Err("--shards must be positive".into());
-    }
-    Ok(parsed)
-}
+const FLAGS: &[Flag] = &[
+    Flag::Value("--seconds", Some("2")),
+    Flag::Value("--shards", Some("2")),
+    harness::SEED,
+    harness::OUT,
+];
 
 /// The race mix: every licensee races every corridor pair with the same
 /// (samples, seed), so the distinct Monte-Carlo population is small and
@@ -114,121 +69,16 @@ fn workload(licensees: &[String]) -> Vec<Request> {
     mix
 }
 
-fn connect_retry(addr: &SocketAddr, proto: Proto, patience: Duration) -> Result<Client, String> {
-    let deadline = Instant::now() + patience;
-    loop {
-        match Client::connect_with(addr, proto) {
-            Ok(client) => return Ok(client),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(format!("could not connect to {addr}: {e}"));
-                }
-                std::thread::sleep(Duration::from_millis(250));
-            }
-        }
-    }
-}
-
-#[derive(Default)]
-struct ProtoReport {
-    completed: u64,
-    overloaded_retries: u64,
-    wrong: u64,
-    first_mismatch: Option<String>,
-    latencies: HistogramShard,
-    elapsed_s: f64,
-}
-
-impl ProtoReport {
-    fn rps(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.completed as f64 / self.elapsed_s
-        } else {
-            0.0
-        }
-    }
-
-    fn percentile_ms(&self, q: f64) -> f64 {
-        self.latencies.snapshot().percentile(q) as f64 / 1e6
-    }
-
-    fn max_ms(&self) -> f64 {
-        self.latencies.snapshot().max as f64 / 1e6
-    }
-}
-
-/// One serial client over one protocol: cycle the mix until the
-/// deadline, byte-comparing every decoded answer (re-encoded with the
-/// canonical JSON codec) against the in-process reference — the
-/// verification is wire-format independent, so a wrong answer cannot
-/// hide behind the binary codec.
-fn drive(
-    addr: &SocketAddr,
-    proto: Proto,
-    mix: &[Request],
-    expected: &[Vec<u8>],
-    seconds: f64,
-) -> Result<ProtoReport, String> {
-    let mut client = connect_retry(addr, proto, Duration::from_secs(180))?;
-    let mut report = ProtoReport::default();
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs_f64(seconds);
-    let mut next = 0usize;
-    while Instant::now() < deadline {
-        let idx = next;
-        next = (next + 1) % mix.len();
-        let sent = Instant::now();
-        let response = client
-            .call(&mix[idx])
-            .map_err(|e| format!("raceload IO: {e}"))?;
-        if response == Response::Overloaded {
-            report.overloaded_retries += 1;
-            continue;
-        }
-        report.latencies.record(sent.elapsed().as_nanos() as u64);
-        report.completed += 1;
-        let got = response.encode();
-        if got != expected[idx] {
-            report.wrong += 1;
-            if report.first_mismatch.is_none() {
-                report.first_mismatch = Some(format!(
-                    "[{}] request {:?}\n  want {}\n  got  {}",
-                    proto.name(),
-                    mix[idx],
-                    String::from_utf8_lossy(&expected[idx]),
-                    String::from_utf8_lossy(&got),
-                ));
-            }
-        }
-    }
-    report.elapsed_s = started.elapsed().as_secs_f64();
-    Ok(report)
-}
-
-fn fmt(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn main() -> std::process::ExitCode {
-    match run() {
-        Ok(()) => std::process::ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    harness::main(run)
 }
 
 fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    eprintln!("generating corpus (seed {})...", args.seed);
-    let eco = generate(&chicago_nj(), args.seed);
-    let mut licensees = eco.connected_2020.clone();
-    licensees.sort();
+    let flags = Flags::from_env("raceload", FLAGS)?;
+    let seconds: f64 = flags.get("--seconds")?;
+    let shards = flags.positive("--shards")?;
+    let seed: u64 = flags.get("--seed")?;
+    let (eco, mut licensees) = harness::corpus(seed);
     licensees.truncate(3);
     if licensees.is_empty() {
         return Err("corpus has no connected 2020 licensees".into());
@@ -240,63 +90,45 @@ fn run() -> Result<(), String> {
     // engine's caches; the fleet's counters are measured from a snapshot
     // taken afterwards so the reference run never inflates the hit rate.
     eprintln!("computing {} expected answers locally...", mix.len());
-    let reference = Service::new(&eco.db);
-    let expected: Vec<Vec<u8>> = mix.iter().map(|r| reference.handle(r).encode()).collect();
+    let verifier = Verifier::fixed(&Service::new(&eco.db), &mix);
+    let load = Load {
+        mix: &mix,
+        verifier: &verifier,
+        bucket_of: &[],
+        window: 1,
+    };
 
-    let fleet = ShardedStore::seeded(&eco.db, args.shards, ShardStrategy::LicenseeHash, None);
+    let fleet = ShardedStore::seeded(&eco.db, shards, ShardStrategy::LicenseeHash, None);
     let router = ShardRouter::over(&fleet);
-    let server = Server::bind(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 8,
-        queue_depth: 64,
-        ..ServeConfig::default()
-    })
-    .map_err(|e| e.to_string())?;
-    let addr = server.local_addr().map_err(|e| e.to_string())?;
-    eprintln!(
-        "fleet n={} (licensee-hash): serving {} distinct race queries on {addr}...",
-        args.shards,
-        mix.len() / 4,
-    );
-
     let hit_name = hft_obs::registry::labeled("race.mc_cache", "outcome", "hit");
     let miss_name = hft_obs::registry::labeled("race.mc_cache", "outcome", "miss");
     let before = hft_obs::global().snapshot();
-    let reports = std::thread::scope(|scope| {
-        let server_handle = scope.spawn(|| server.run_with(&router));
-        let phases = || -> Result<Vec<(Proto, ProtoReport)>, String> {
-            // Warm pass: every distinct request once, so the timed
-            // windows measure the cached steady state on a warm fleet.
-            let mut warm = connect_retry(&addr, Proto::Json, Duration::from_secs(180))?;
-            for request in &mix[..mix.len() / 4] {
-                loop {
-                    let response = warm.call(request).map_err(|e| format!("warmup: {e}"))?;
-                    if response != Response::Overloaded {
-                        break;
-                    }
-                }
-            }
-            let mut reports = Vec::new();
-            for proto in [Proto::Json, Proto::Binary] {
-                eprintln!("[{}] racing for {:.1}s...", proto.name(), args.seconds);
-                reports.push((proto, drive(&addr, proto, &mix, &expected, args.seconds)?));
-            }
-            Ok(reports)
-        };
-        let reports = phases();
-        let mut c = connect_retry(&addr, Proto::Json, Duration::from_secs(30))?;
-        let ack = c.call(&Request::Shutdown).map_err(|e| e.to_string())?;
-        if ack != Response::ShuttingDown {
-            return Err(format!("shutdown not acknowledged: {ack:?}"));
-        }
-        server_handle
-            .join()
-            .expect("server thread")
-            .map_err(|e| e.to_string())?;
-        reports
-    })?;
-    let after = hft_obs::global().snapshot();
-    let delta = hft_obs::registry::delta(&before, &after);
+    let (reports, _, _) = harness::self_host(
+        8,
+        64,
+        |s| s.run_with(&router),
+        |addr| {
+            eprintln!(
+                "fleet n={shards} (licensee-hash): serving {} distinct race queries on {addr}...",
+                mix.len() / 4,
+            );
+            // Warm pass: every distinct request once, so the timed windows
+            // measure the cached steady state on a warm fleet.
+            harness::warm(&addr, Proto::Json, &mix[..mix.len() / 4])?;
+            [Proto::Json, Proto::Binary]
+                .map(|proto| {
+                    eprintln!("[{}] racing for {seconds:.1}s...", proto.name());
+                    let conn = vec![harness::connect_retry(&addr, proto)?];
+                    Ok((
+                        proto,
+                        harness::run(conn, &load, |_| 0, Until::Seconds(seconds))?,
+                    ))
+                })
+                .into_iter()
+                .collect::<Result<Vec<_>, String>>()
+        },
+    )?;
+    let delta = hft_obs::registry::delta(&before, &hft_obs::global().snapshot());
     let (hits, misses) = (delta.counter(&hit_name), delta.counter(&miss_name));
     let mc_total = hits + misses;
     let hit_rate = if mc_total > 0 {
@@ -305,17 +137,12 @@ fn run() -> Result<(), String> {
         0.0
     };
 
+    let quantiles = ["p50", "p90", "p99", "max"];
     for (proto, r) in &reports {
         println!(
-            "{:<4} {:>8} requests  {:>9.0} rps  p50 {:.3} ms  p90 {:.3} ms  p99 {:.3} ms  \
-             max {:.3} ms  ({} overloaded retries, {} wrong)",
+            "{:<4} {}  ({} overloaded retries, {} wrong)",
             proto.name(),
-            r.completed,
-            r.rps(),
-            r.percentile_ms(0.50),
-            r.percentile_ms(0.90),
-            r.percentile_ms(0.99),
-            r.max_ms(),
+            r.line(&quantiles),
             r.overloaded_retries,
             r.wrong,
         );
@@ -325,55 +152,40 @@ fn run() -> Result<(), String> {
         hit_rate * 100.0
     );
 
-    let runs: Vec<String> = reports
+    let runs: Vec<Json> = reports
         .iter()
         .map(|(proto, r)| {
-            format!(
-                "{{\"proto\": \"{}\", \"requests\": {}, \"seconds\": {}, \"rps\": {}, \
-                 \"p50_ms\": {}, \"p90_ms\": {}, \"p99_ms\": {}, \"max_ms\": {}, \
-                 \"overloaded_retries\": {}, \"wrong_answers\": {}}}",
-                proto.name(),
-                r.completed,
-                fmt(r.elapsed_s),
-                fmt(r.rps()),
-                fmt(r.percentile_ms(0.50)),
-                fmt(r.percentile_ms(0.90)),
-                fmt(r.percentile_ms(0.99)),
-                fmt(r.max_ms()),
-                r.overloaded_retries,
-                r.wrong,
-            )
+            Json::Obj(record! {
+                ..r.fields(&quantiles);
+                "proto" => proto.name(),
+                "overloaded_retries" => r.overloaded_retries,
+                "wrong_answers" => r.wrong,
+            })
         })
         .collect();
-    let json = format!(
-        "{{\n\"workload\": {{\"distinct_requests\": {}, \"pairs\": 3, \"licensees\": {}, \
-         \"seed\": {}}},\n\"shards\": {},\n\"runs\": [\n  {}\n],\n\"mc_cache\": \
-         {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {}}}\n}}\n",
-        mix.len() / 4,
-        licensees.len(),
-        args.seed,
-        args.shards,
-        runs.join(",\n  "),
-        hits,
-        misses,
-        fmt(hit_rate),
-    );
-    let path = args
-        .out
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_race.json").into());
-    std::fs::write(&path, json).map_err(|e| format!("write {path}: {e}"))?;
-    println!("wrote {path}");
+    let record = record! {
+        "workload" => Json::Obj(record! {
+            "distinct_requests" => (mix.len() / 4) as u64,
+            "pairs" => 3u64,
+            "licensees" => licensees.len() as u64,
+            "seed" => seed,
+        }),
+        "shards" => shards as u64,
+        "runs" => Json::Arr(runs),
+        "mc_cache" => Json::Obj(record! {
+            "hits" => hits,
+            "misses" => misses,
+            "hit_rate" => hit_rate,
+        }),
+    };
+    let fnv = harness::requests_fnv64(mix.iter().map(Request::encode));
+    harness::write_record(flags.opt("--out"), record, seed, fnv)?;
 
-    let wrong_total: u64 = reports.iter().map(|(_, r)| r.wrong).sum();
-    if wrong_total > 0 {
-        let detail = reports
-            .iter()
-            .find_map(|(_, r)| r.first_mismatch.clone())
-            .unwrap_or_default();
-        return Err(format!(
-            "race answers through the shard router diverge from the single-corpus \
-             reference:\n{detail}"
-        ));
+    for (proto, r) in &reports {
+        r.check(&format!(
+            "race answers through the shard router ({})",
+            proto.name()
+        ))?;
     }
     if reports.iter().any(|(_, r)| r.completed == 0) {
         return Err("a protocol phase completed zero requests".into());
