@@ -2,12 +2,11 @@
 //!
 //! Measures the serve hot path — warm cached `Service::handle` calls on
 //! the route/APA mix — with the telemetry runtime enabled versus killed
-//! via `hft_obs::set_enabled(false)` (the runtime proxy for the `off`
-//! compile-out feature), plus the raw primitive costs (counter incr,
-//! histogram record, span enter/exit). A second phase self-hosts an
-//! evented server and round-trips the same mix over the binary wire
-//! with the trace recorder off (stride 0) versus capturing every
-//! request (stride 1) — the distributed-tracing overhead on the
+//! via `hft_obs::set_enabled(false)`, plus the raw primitive costs
+//! (counter incr, histogram record, span enter/exit). A second phase
+//! self-hosts an evented server and round-trips the same mix over the
+//! binary wire with the trace recorder off (stride 0) versus capturing
+//! every request (stride 1) — the distributed-tracing overhead on the
 //! bin/evented hot path, budget 2%. Writes `BENCH_obs.json` at the
 //! workspace root with `obs/handle_overhead_pct` (ceiling 5) and
 //! `obs/trace_overhead_pct` (ceiling 2) entries; both are clamped at
@@ -179,9 +178,9 @@ fn main() {
     let licensee = eco.connected_2020.first().expect("modeled networks");
     let mix = warm_mix(licensee);
 
-    // Slow-query capture would retain every handle() tree if the bench
-    // machine stalls; push the threshold out of reach so the rings stay
-    // bounded and the comparison measures recording, not draining.
+    // Tail capture would file every handle() tree into the flight
+    // recorder if the bench machine stalls; push the threshold out of
+    // reach so the comparison measures recording, not retention.
     hft_obs::set_slow_threshold_ns(u64::MAX);
 
     let service = Service::new(&eco.db);
@@ -201,7 +200,6 @@ fn main() {
     bench_primitives(&mut criterion, "disabled");
     hft_obs::set_enabled(true);
     bench_wire(&mut criterion, &service, &mix);
-    hft_obs::take_samples();
 
     let results = criterion.results();
     let mut entries: Vec<String> = results

@@ -169,7 +169,7 @@ fn run() -> Result<(), String> {
     if sizes.is_empty() || sizes.contains(&0) {
         return Err("--shards must list positive fleet sizes".into());
     }
-    let seconds: f64 = flags.get("--seconds")?;
+    let seconds = flags.non_negative("--seconds")?;
     let concurrency = flags.positive("--concurrency")?;
     let publish_every = flags.positive("--publish-every")?;
     let strategy = ShardStrategy::parse(flags.opt("--strategy").unwrap_or_default())

@@ -185,7 +185,7 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), String> {
     let flags = Flags::from_env("httpload", FLAGS)?;
-    let seconds: f64 = flags.get("--seconds")?;
+    let seconds = flags.non_negative("--seconds")?;
     let concurrency = flags.positive("--concurrency")?;
     let seed: u64 = flags.get("--seed")?;
     let (eco, licensees) = harness::corpus(seed);

@@ -48,7 +48,7 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), String> {
     let flags = Flags::from_env("ingestload", FLAGS)?;
-    let seconds: f64 = flags.get("--seconds")?;
+    let seconds = flags.non_negative("--seconds")?;
     let concurrency = flags.positive("--concurrency")?;
     let publish_every = flags.positive("--publish-every")?;
     let seed: u64 = flags.get("--seed")?;

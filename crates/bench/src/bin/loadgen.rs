@@ -154,7 +154,7 @@ fn workload(licensees: &[String]) -> Vec<Request> {
 /// Emit a loud alert when the p90/p50 ratio of a latency population
 /// exceeds 10x — the tail is no longer a tail, it's a queueing or
 /// skew pathology, and it should jump out of CI smoke output.
-fn tail_alert(label: &str, latencies: &hft_obs::HistogramShard) {
+fn tail_alert(label: &str, latencies: &hft_obs::HistogramSnapshot) {
     if let [(_, p50), (_, p90)] = harness::quantiles_ms(latencies, &["p50", "p90"])[..] {
         if p50 > 0.0 && p90 / p50 > 10.0 {
             println!(
@@ -279,7 +279,7 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), String> {
     let flags = Flags::from_env("loadgen", FLAGS)?;
-    let seconds: f64 = flags.get("--seconds")?;
+    let seconds = flags.non_negative("--seconds")?;
     let concurrency = flags.positive("--concurrency")?;
     let window = flags.positive("--window")?;
     let shards: usize = flags.get("--shards")?;
@@ -446,7 +446,7 @@ fn run() -> Result<(), String> {
         let label = |b| harness::bucket_label(b, shards);
         let rows = harness::breakout(buckets, label, ("label", "requests"), &quantiles);
         let mut worst: Option<(String, f64)> = None;
-        for (b, shard) in buckets.iter().enumerate().filter(|(_, h)| h.count() > 0) {
+        for (b, shard) in buckets.iter().enumerate().filter(|(_, h)| h.count > 0) {
             tail_alert(&label(b), shard);
             let q = harness::quantiles_ms(shard, &["p50", "p90"]);
             let gap = q[1].1 - q[0].1;

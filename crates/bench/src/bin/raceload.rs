@@ -75,7 +75,7 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), String> {
     let flags = Flags::from_env("raceload", FLAGS)?;
-    let seconds: f64 = flags.get("--seconds")?;
+    let seconds = flags.non_negative("--seconds")?;
     let shards = flags.positive("--shards")?;
     let seed: u64 = flags.get("--seed")?;
     let (eco, mut licensees) = harness::corpus(seed);

@@ -31,7 +31,7 @@
 
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_ingest::{render_history, Applier, DumpBatch};
-use hft_obs::HistogramShard;
+use hft_obs::HistogramSnapshot;
 use hft_serve::json::Json;
 use hft_serve::{
     Client, Handler, Proto, Request, Response, ServeConfig, ServeSnapshot, Server, Service,
@@ -143,6 +143,17 @@ impl Flags {
         match self.get(name)? {
             0 => Err(format!("{name} must be positive")),
             n => Ok(n),
+        }
+    }
+
+    /// The value of `name` as a finite, non-negative number (a
+    /// duration in seconds; zero is allowed).
+    pub fn non_negative(&self, name: &str) -> Result<f64, String> {
+        let v: f64 = self.get(name)?;
+        if v >= 0.0 && v.is_finite() {
+            Ok(v)
+        } else {
+            Err(format!("{name} must be finite and not negative"))
         }
     }
 }
@@ -532,7 +543,7 @@ fn drive<T: Transport>(
     let io = |e: io::Error| format!("{name} IO: {e}");
     let mix = load.mix;
     let mut tally = Tally {
-        by_bucket: (0..buckets).map(|_| HistogramShard::new()).collect(),
+        by_bucket: vec![HistogramSnapshot::new(); buckets],
         ..Tally::default()
     };
     let mut next = offset % mix.len();
@@ -714,9 +725,9 @@ pub struct Tally {
     /// The first wrong answer: request, want and got.
     pub first_mismatch: Option<String>,
     /// End-to-end latency (ns), all requests.
-    pub latencies: HistogramShard,
+    pub latencies: HistogramSnapshot,
     /// Latency (ns) per attribution bucket.
-    pub by_bucket: Vec<HistogramShard>,
+    pub by_bucket: Vec<HistogramSnapshot>,
     /// Wall time of the run.
     pub elapsed_s: f64,
 }
@@ -810,18 +821,17 @@ impl Tally {
 
 /// Latency quantiles of `h` in ms. Names: `p50`, `p90`, `p95`, `p99`,
 /// `p999`, `max`.
-pub fn quantiles_ms<'q>(h: &HistogramShard, names: &[&'q str]) -> Vec<(&'q str, f64)> {
-    let snap = h.snapshot();
+pub fn quantiles_ms<'q>(h: &HistogramSnapshot, names: &[&'q str]) -> Vec<(&'q str, f64)> {
     names
         .iter()
         .map(|&name| {
             let ns = match name {
-                "p50" => snap.percentile(0.50),
-                "p90" => snap.percentile(0.90),
-                "p95" => snap.percentile(0.95),
-                "p99" => snap.percentile(0.99),
-                "p999" => snap.percentile(0.999),
-                "max" => snap.max,
+                "p50" => h.percentile(0.50),
+                "p90" => h.percentile(0.90),
+                "p95" => h.percentile(0.95),
+                "p99" => h.percentile(0.99),
+                "p999" => h.percentile(0.999),
+                "max" => h.max,
                 other => panic!("unknown latency quantile {other:?}"),
             };
             (name, ns as f64 / 1e6)
@@ -830,7 +840,7 @@ pub fn quantiles_ms<'q>(h: &HistogramShard, names: &[&'q str]) -> Vec<(&'q str, 
 }
 
 /// `p50 0.123 ms  p90 0.456 ms ...`, for report lines.
-fn latency_line(h: &HistogramShard, names: &[&str]) -> String {
+fn latency_line(h: &HistogramSnapshot, names: &[&str]) -> String {
     let parts: Vec<String> = quantiles_ms(h, names)
         .into_iter()
         .map(|(name, ms)| format!("{name} {ms:.3} ms"))
@@ -839,7 +849,7 @@ fn latency_line(h: &HistogramShard, names: &[&str]) -> String {
 }
 
 /// The same quantiles as record fields `<q>_ms`.
-fn latency_fields(h: &HistogramShard, names: &[&str]) -> Vec<(String, Json)> {
+fn latency_fields(h: &HistogramSnapshot, names: &[&str]) -> Vec<(String, Json)> {
     quantiles_ms(h, names)
         .into_iter()
         .map(|(name, ms)| (format!("{name}_ms"), Field::json(ms)))
@@ -850,20 +860,20 @@ fn latency_fields(h: &HistogramShard, names: &[&str]) -> Vec<(String, Json)> {
 /// record rows (one per bucket),
 /// `{label_key: label, count_key: count, <q>_ms: ...}`.
 pub fn breakout(
-    buckets: &[HistogramShard],
+    buckets: &[HistogramSnapshot],
     label: impl Fn(usize) -> String,
     (label_key, count_key): (&str, &str),
     quantiles: &[&str],
 ) -> Vec<Json> {
     let rows = buckets.iter().enumerate().map(|(b, h)| {
         let label = label(b);
-        if h.count() > 0 {
+        if h.count > 0 {
             let line = latency_line(h, quantiles);
-            println!("  {label:<10} {:>8} requests  {line}", h.count());
+            println!("  {label:<10} {:>8} requests  {line}", h.count);
         }
         let mut row = vec![
             (label_key.into(), Json::Str(label)),
-            (count_key.into(), h.count().json()),
+            (count_key.into(), h.count.json()),
         ];
         row.extend(latency_fields(h, quantiles));
         Json::Obj(row)

@@ -273,6 +273,19 @@ fn flags_default_override_and_switch() {
     assert!(flags.on("--matrix"));
     let flags = parse(&["--seconds", "x"]).expect("parsed lazily");
     assert_eq!(flags.get::<f64>("--seconds"), Err("bad --seconds".into()));
+    assert_eq!(flags.non_negative("--seconds"), Err("bad --seconds".into()));
+    for bad in ["-1", "-0.5", "inf", "-inf", "NaN"] {
+        let flags = parse(&["--seconds", bad]).expect("parsed lazily");
+        assert_eq!(
+            flags.non_negative("--seconds"),
+            Err("--seconds must be finite and not negative".into()),
+            "{bad}"
+        );
+    }
+    for (good, want) in [("0", 0.0), ("0.1", 0.1), ("28", 28.0)] {
+        let flags = parse(&["--seconds", good]).expect("flags");
+        assert_eq!(flags.non_negative("--seconds"), Ok(want));
+    }
 }
 
 #[test]
@@ -348,6 +361,19 @@ fn each_binary_rejects_flags_it_does_not_declare() {
         &["--matrix", "--connect", "127.0.0.1:1"],
     );
     assert!(load.contains("cannot be used with --connect"), "{load}");
+    for (bin, exe) in [
+        ("loadgen", env!("CARGO_BIN_EXE_loadgen")),
+        ("fleetload", env!("CARGO_BIN_EXE_fleetload")),
+        ("ingestload", env!("CARGO_BIN_EXE_ingestload")),
+        ("raceload", env!("CARGO_BIN_EXE_raceload")),
+        ("httpload", env!("CARGO_BIN_EXE_httpload")),
+    ] {
+        let err = rejected(bin, exe, &["--seconds", "-1"]);
+        assert!(
+            err.contains("--seconds must be finite and not negative"),
+            "{bin}: {err}"
+        );
+    }
 }
 
 #[test]

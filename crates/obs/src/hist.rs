@@ -1,6 +1,6 @@
 //! Log-bucketed latency histograms, HDR-style: fixed memory, bounded
-//! relative error, lock-free atomic recording, and plain-array shards
-//! that merge exactly.
+//! relative error, lock-free atomic recording, and a plain-array form
+//! that merges exactly.
 //!
 //! # Bucketing
 //!
@@ -12,8 +12,9 @@
 //! a histogram can sit in a static registry forever.
 //!
 //! Percentiles are nearest-rank over bucket counts, reported as the
-//! bucket midpoint — within one bucket width of the exact order
-//! statistic (property-tested in `tests/prop_hist.rs`).
+//! bucket midpoint clamped to the recorded range — within one bucket
+//! width of the exact order statistic, and never outside `[min, max]`
+//! (property-tested in `tests/prop_hist.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -106,21 +107,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Fold a shard's counts in (used by per-thread recording: record
-    /// into a private [`HistogramShard`], merge once at the end).
-    pub fn merge_shard(&self, shard: &HistogramShard) {
-        for (i, &c) in shard.buckets.iter().enumerate() {
-            if c != 0 {
-                self.buckets[i].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        if shard.count > 0 {
-            self.sum.fetch_add(shard.sum, Ordering::Relaxed);
-            self.min.fetch_min(shard.min, Ordering::Relaxed);
-            self.max.fetch_max(shard.max, Ordering::Relaxed);
-        }
-    }
-
     /// A point-in-time copy of the counts.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self
@@ -143,80 +129,11 @@ impl Histogram {
     }
 }
 
-/// A single-thread, non-atomic histogram with the same bucketing as
-/// [`Histogram`]. Record contention-free, then [`Histogram::merge_shard`]
-/// (or [`HistogramShard::merge`] shards together): the merged counts are
-/// exactly what single-shard recording of the union would produce.
-#[derive(Debug, Clone)]
-pub struct HistogramShard {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for HistogramShard {
-    fn default() -> HistogramShard {
-        HistogramShard::new()
-    }
-}
-
-impl HistogramShard {
-    /// An empty shard.
-    pub fn new() -> HistogramShard {
-        HistogramShard {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Record one value (not gated by the kill switch; shards are
-    /// explicit measurements, not ambient telemetry).
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        // Wraps like the atomic histogram's fetch_add: `sum` is an
-        // aggregate for means, not an exact ledger.
-        self.sum = self.sum.wrapping_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Values recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Fold `other` into `self`.
-    pub fn merge(&mut self, other: &HistogramShard) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The shard's counts as a snapshot (same percentile machinery as
-    /// the atomic histogram).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.clone(),
-            count: self.count,
-            sum: self.sum,
-            min: if self.count == 0 { 0 } else { self.min },
-            max: self.max,
-        }
-    }
-}
-
-/// A point-in-time copy of histogram counts, with percentile queries.
+/// A point-in-time copy of histogram counts, with percentile queries —
+/// and the plain, single-thread histogram for explicit measurement
+/// loops: [`record`](HistogramSnapshot::record) contention-free (not
+/// gated by the kill switch), then [`merge`](HistogramSnapshot::merge)
+/// the parts; the result equals recording the union into one place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts ([`BUCKETS`] entries).
@@ -231,10 +148,58 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
+impl Default for HistogramSnapshot {
+    fn default() -> HistogramSnapshot {
+        HistogramSnapshot::new()
+    }
+}
+
 impl HistogramSnapshot {
+    /// An empty histogram ([`BUCKETS`] zero counts).
+    pub fn new() -> HistogramSnapshot {
+        HistogramSnapshot {
+            buckets: vec![0; BUCKETS],
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+        }
+    }
+
+    /// Record one value.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.count += 1;
+        // Wraps like the atomic histogram's fetch_add: `sum` is an
+        // aggregate for means, not an exact ledger.
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Fold `other` in.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        if other.count == 0 {
+            return;
+        }
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.min = if self.count == 0 {
+            other.min
+        } else {
+            self.min.min(other.min)
+        };
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
     /// The nearest-rank `q`-quantile (`0.0..=1.0`), reported as the
-    /// midpoint of the bucket holding that rank; 0 when empty. Within
-    /// one bucket width of the exact order statistic.
+    /// midpoint of the bucket holding that rank, clamped to the recorded
+    /// `[min, max]`; 0 when empty. Within one bucket width of the exact
+    /// order statistic.
     pub fn percentile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -247,7 +212,7 @@ impl HistogramSnapshot {
             }
             seen += c;
             if seen > rank {
-                return bucket_mid(i);
+                return bucket_mid(i).clamp(self.min, self.max);
             }
         }
         self.max
@@ -331,9 +296,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_merge_equals_direct() {
-        let mut a = HistogramShard::new();
-        let mut b = HistogramShard::new();
+    fn plain_merge_equals_direct() {
+        let mut a = HistogramSnapshot::new();
+        let mut b = HistogramSnapshot::new();
         let direct = Histogram::new();
         for v in 0..500u64 {
             let v = v * 17 % 4096;
@@ -344,12 +309,7 @@ mod tests {
             }
             direct.record_always(v);
         }
-        let h = Histogram::new();
-        h.merge_shard(&a);
-        h.merge_shard(&b);
-        assert_eq!(h.snapshot(), direct.snapshot());
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.snapshot(), direct.snapshot());
+        a.merge(&b);
+        assert_eq!(a, direct.snapshot());
     }
 }

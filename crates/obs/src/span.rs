@@ -1,7 +1,6 @@
 //! Lightweight span tracing: scoped guards capture nested timing trees
-//! per thread, completed trees are sampled into a per-thread ring, and
-//! any tree whose root exceeds the slow threshold lands in a global
-//! slow-query log.
+//! per thread, and a finished tree worth keeping is filed into the
+//! flight recorder ([`crate::trace`]).
 //!
 //! # Model
 //!
@@ -9,13 +8,13 @@
 //! dropping the guard closes it. Guards nest lexically (they are
 //! `!Send` scope guards), so the per-thread open stack always closes in
 //! LIFO order and a finished tree can never contain an orphaned span.
-//! When the *root* guard drops, the whole tree is finalized at once:
-//!
-//! * root duration ≥ [`slow_threshold_ns`] → pushed to the global slow
-//!   log (bounded; oldest entries fall off) and `obs.slow_queries` is
-//!   bumped in the global registry;
-//! * otherwise every `sample_every`-th tree is kept in a per-thread
-//!   ring buffer ([`take_samples`]).
+//! When the *root* guard drops, the whole tree is finalized at once and
+//! moved into the flight recorder iff it was head-sampled (its
+//! [`trace_root`] context says so) or its root lasted at least
+//! [`slow_threshold_ns`]. A slow root also bumps `obs.slow_queries` in
+//! the global registry; a slow tree opened without a trace context is
+//! filed under a fresh id, labelled with its root span's name. Any
+//! other tree is dropped.
 //!
 //! Trees are per thread by construction; cross-thread requests are
 //! stitched explicitly: a scatter worker runs under [`capture_from`]
@@ -23,39 +22,24 @@
 //! the returned subtree under its own open span, so a fan-out request
 //! still finalizes as one tree on the coordinating thread.
 //!
-//! A tree opened with [`trace_root`] additionally carries a
-//! [`crate::trace::TraceContext`]; when such a tree finalizes and was
-//! head-sampled or slow, a copy is filed into the flight recorder
-//! ([`crate::trace`]) keyed by trace id.
-//!
 //! All bookkeeping is thread-local; the only shared state touched on a
-//! hot path is one relaxed load of the kill switch, and the slow-log
-//! mutex is taken only when a slow tree actually completes.
+//! hot path is one relaxed load of the kill switch, and the recorder's
+//! (per-thread, uncontended) mutex is taken only when a kept tree
+//! completes.
 
-use crate::trace::TraceContext;
+use crate::trace::{TraceContext, TraceRecord};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Slow-log capacity; oldest entries are dropped beyond this.
-pub const SLOW_LOG_CAP: usize = 32;
-/// Per-thread sampled-tree ring capacity.
-pub const SAMPLE_RING_CAP: usize = 16;
 
 /// Default slow threshold: 50 ms.
 const DEFAULT_SLOW_NS: u64 = 50_000_000;
-/// Default sampling stride: every 64th completed tree.
-const DEFAULT_SAMPLE_EVERY: u64 = 64;
 
 static SLOW_NS: AtomicU64 = AtomicU64::new(DEFAULT_SLOW_NS);
-static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(DEFAULT_SAMPLE_EVERY);
-static SLOW_LOG: Mutex<VecDeque<SpanTree>> = Mutex::new(VecDeque::new());
 
-/// Set the root-duration threshold (ns) above which a completed tree
-/// enters the slow-query log.
+/// Set the root-duration threshold (ns) at or above which a completed
+/// tree is kept in the flight recorder and counted as slow.
 pub fn set_slow_threshold_ns(ns: u64) {
     SLOW_NS.store(ns, Ordering::SeqCst);
 }
@@ -63,27 +47,6 @@ pub fn set_slow_threshold_ns(ns: u64) {
 /// The current slow threshold in nanoseconds.
 pub fn slow_threshold_ns() -> u64 {
     SLOW_NS.load(Ordering::Relaxed)
-}
-
-/// Keep every `n`-th completed (non-slow) tree in the per-thread sample
-/// ring; `0` disables sampling.
-pub fn set_sample_every(n: u64) {
-    SAMPLE_EVERY.store(n, Ordering::SeqCst);
-}
-
-/// The current sampling stride.
-pub fn sample_every() -> u64 {
-    SAMPLE_EVERY.load(Ordering::Relaxed)
-}
-
-/// Drain the global slow-query log, oldest first.
-pub fn take_slow_queries() -> Vec<SpanTree> {
-    SLOW_LOG.lock().expect("slow log").drain(..).collect()
-}
-
-/// Drain the calling thread's sampled-tree ring, oldest first.
-pub fn take_samples() -> Vec<SpanTree> {
-    TLS.with(|t| t.borrow_mut().samples.drain(..).collect())
 }
 
 /// One closed span inside a [`SpanTree`].
@@ -192,8 +155,6 @@ struct ThreadSpans {
     spans: Vec<SpanRecord>,
     open: Vec<u32>,
     root_start: Option<Instant>,
-    completed: u64,
-    samples: VecDeque<SpanTree>,
     /// Trace identity the current tree was opened with ([`trace_root`]).
     trace: Option<(TraceContext, &'static str)>,
     /// When set, the finishing tree is stashed in `captured` for the
@@ -208,8 +169,6 @@ thread_local! {
             spans: Vec::new(),
             open: Vec::new(),
             root_start: None,
-            completed: 0,
-            samples: VecDeque::new(),
             trace: None,
             capture: false,
             captured: None,
@@ -217,15 +176,17 @@ thread_local! {
     };
 }
 
-fn open_span(name: &'static str, shard: Option<u32>) -> SpanGuard {
+/// Open a span on the current thread; with `nested_only`, only when a
+/// tree is already open here.
+fn open_span(name: &'static str, shard: Option<u32>, nested_only: bool) -> SpanGuard {
     if !crate::enabled() {
-        return SpanGuard {
-            active: false,
-            _not_send: PhantomData,
-        };
+        return SpanGuard::new(false);
     }
-    TLS.with(|t| {
+    let active = TLS.with(|t| {
         let mut t = t.borrow_mut();
+        if nested_only && t.open.is_empty() {
+            return false;
+        }
         let start_ns = match t.root_start {
             Some(root) => root.elapsed().as_nanos() as u64,
             None => {
@@ -243,11 +204,9 @@ fn open_span(name: &'static str, shard: Option<u32>) -> SpanGuard {
             shard,
         });
         t.open.push(idx);
+        true
     });
-    SpanGuard {
-        active: true,
-        _not_send: PhantomData,
-    }
+    SpanGuard::new(active)
 }
 
 /// Open a span named `name` on the current thread. Close it by
@@ -255,54 +214,24 @@ fn open_span(name: &'static str, shard: Option<u32>) -> SpanGuard {
 /// `Send` and should be bound to a scope).
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    open_span(name, None)
+    open_span(name, None, false)
 }
 
 /// Like [`span`], tagging the record with the shard the work is
 /// addressed to (scatter legs, routed single-shard calls).
 #[inline]
 pub fn span_sharded(name: &'static str, shard: u32) -> SpanGuard {
-    open_span(name, Some(shard))
+    open_span(name, Some(shard), false)
 }
 
 /// Like [`span`], but records only when a tree is already open on this
 /// thread. A lone child would otherwise finalize as a single-span root
-/// tree — full tree bookkeeping (two clock reads, finalize, ring
-/// bookkeeping) for a record nothing can attribute to a request. Use
-/// it for hot-path markers (single-flight legs, cache-hit markers)
-/// that are only meaningful inside an enclosing traced request.
+/// tree — full tree bookkeeping (two clock reads, finalize) for a
+/// record nothing can attribute to a request. Use it for hot-path
+/// markers (single-flight legs, cache-hit markers) that are only
+/// meaningful inside an enclosing traced request.
 pub fn child_span(name: &'static str) -> SpanGuard {
-    if !crate::enabled() {
-        return SpanGuard {
-            active: false,
-            _not_send: PhantomData,
-        };
-    }
-    let active = TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.open.is_empty() {
-            return false;
-        }
-        let start_ns = match t.root_start {
-            Some(root) => root.elapsed().as_nanos() as u64,
-            None => 0,
-        };
-        let parent = t.open.last().copied();
-        let idx = t.spans.len() as u32;
-        t.spans.push(SpanRecord {
-            name,
-            parent,
-            start_ns,
-            dur_ns: 0,
-            shard: None,
-        });
-        t.open.push(idx);
-        true
-    });
-    SpanGuard {
-        active,
-        _not_send: PhantomData,
-    }
+    open_span(name, None, true)
 }
 
 /// Open a **traced root** span: the tree's time origin is backdated to
@@ -320,10 +249,7 @@ pub fn trace_root(
     started: Instant,
 ) -> SpanGuard {
     if !crate::enabled() {
-        return SpanGuard {
-            active: false,
-            _not_send: PhantomData,
-        };
+        return SpanGuard::new(false);
     }
     let fresh = TLS.with(|t| {
         let mut t = t.borrow_mut();
@@ -347,10 +273,7 @@ pub fn trace_root(
     if !fresh {
         return span(name);
     }
-    SpanGuard {
-        active: true,
-        _not_send: PhantomData,
-    }
+    SpanGuard::new(true)
 }
 
 /// Attach a pre-measured, already-closed child span to the innermost
@@ -469,6 +392,15 @@ pub struct SpanGuard {
     _not_send: PhantomData<*const ()>,
 }
 
+impl SpanGuard {
+    fn new(active: bool) -> SpanGuard {
+        SpanGuard {
+            active,
+            _not_send: PhantomData,
+        }
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if !self.active {
@@ -499,49 +431,29 @@ impl Drop for SpanGuard {
                 t.captured = Some(tree);
                 return None;
             }
-            t.completed += 1;
-            let tick = t.completed;
-            if tree.total_ns() >= slow_threshold_ns() {
-                Some((tree, true, tick, trace))
-            } else {
-                Some((tree, false, tick, trace))
-            }
+            Some((tree, trace))
         });
-        let Some((tree, slow, tick, trace)) = finished else {
+        let Some((tree, trace)) = finished else {
             return;
         };
-        // File a flight-recorder copy before the tree itself moves into
-        // the slow log / sample ring (clone only for kept traces).
-        if let Some((ctx, label)) = trace {
-            if ctx.sampled || slow {
-                crate::trace::record(crate::trace::TraceRecord {
-                    trace_id: ctx.trace_id,
-                    label,
-                    sampled: ctx.sampled,
-                    slow,
-                    total_ns: tree.total_ns(),
-                    tree: tree.clone(),
-                });
-            }
-        }
+        let total_ns = tree.total_ns();
+        let slow = total_ns >= slow_threshold_ns();
         if slow {
             crate::global().counter("obs.slow_queries").incr();
-            let mut log = SLOW_LOG.lock().expect("slow log");
-            if log.len() == SLOW_LOG_CAP {
-                log.pop_front();
-            }
-            log.push_back(tree);
-        } else {
-            let every = sample_every();
-            if every > 0 && tick % every == 0 {
-                TLS.with(|t| {
-                    let mut t = t.borrow_mut();
-                    if t.samples.len() == SAMPLE_RING_CAP {
-                        t.samples.pop_front();
-                    }
-                    t.samples.push_back(tree);
-                });
-            }
+        }
+        let (ctx, label) = trace.unwrap_or((TraceContext::none(), tree.root().name));
+        if ctx.sampled || slow {
+            crate::trace::record(TraceRecord {
+                trace_id: match ctx.trace_id {
+                    0 => crate::trace::next_id().1,
+                    id => id,
+                },
+                label,
+                sampled: ctx.sampled,
+                slow,
+                total_ns,
+                tree,
+            });
         }
     }
 }
@@ -550,8 +462,9 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
-    // Span tests touching the global slow log / sampling knobs live in
-    // tests/span_tree.rs (their own process); here only pure helpers.
+    // Span tests touching the flight recorder and the process-global
+    // knobs live in tests/span_tree.rs (their own process); here only
+    // pure helpers.
 
     #[test]
     fn check_rejects_malformed_trees() {

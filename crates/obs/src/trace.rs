@@ -4,16 +4,17 @@
 //! # Model
 //!
 //! A [`TraceContext`] is minted once per admitted request (128-bit
-//! trace id, 64-bit root span id, sampled flag). The worker that picks
-//! the request up opens its span-tree root with
-//! [`crate::span::trace_root`], which backdates the root to the
-//! admission instant so queue wait is *inside* the trace window. When
-//! the root closes, the finished tree becomes a [`TraceRecord`] and is
-//! kept iff it was head-sampled at mint time (every
-//! [`trace_sample_every`]-th mint) **or** its total duration crossed
-//! the slow threshold — tail-based capture, so the traces worth
+//! trace id, sampled flag). The worker that picks the request up opens
+//! its span-tree root with [`crate::span::trace_root`], which backdates
+//! the root to the admission instant so queue wait is *inside* the
+//! trace window. When the root closes, the finished tree becomes a
+//! [`TraceRecord`] and is kept iff it was head-sampled at mint time
+//! (every [`trace_sample_every`]-th mint) **or** its total duration
+//! crossed the slow threshold — tail-based capture, so the traces worth
 //! explaining are always retrievable even at a sparse head-sampling
-//! stride.
+//! stride. A slow tree that carried no context (an `ingest.apply` root,
+//! say) is kept too, under a fresh id and its root span's name.
+//! The recorder is the only store of finished trees.
 //!
 //! Records land in a bounded per-thread ring ([`TRACE_RING_CAP`]):
 //! each ring is written only by its owner thread, so the mutex guarding
@@ -55,9 +56,6 @@ pub fn trace_sample_every() -> u64 {
 pub struct TraceContext {
     /// 128-bit trace id; `0` means "untraced".
     pub trace_id: u128,
-    /// Root span id (identifies this hop's root among future remote
-    /// children; currently informational).
-    pub span_id: u64,
     /// Head-sampling decision, made at mint time so every layer agrees.
     pub sampled: bool,
 }
@@ -83,13 +81,20 @@ fn process_seed() -> u64 {
     })
 }
 
+/// A fresh nonzero trace id, and the mint sequence number it came from.
+pub(crate) fn next_id() -> (u64, u128) {
+    let n = MINTED.fetch_add(1, Ordering::Relaxed);
+    let lo = splitmix64(process_seed() ^ n);
+    let hi = splitmix64(lo ^ 0xa5a5_a5a5_a5a5_a5a5);
+    (n, (((hi as u128) << 64) | lo as u128).max(1))
+}
+
 impl TraceContext {
     /// An untraced context (id 0, never sampled): what disabled
     /// telemetry mints.
     pub fn none() -> TraceContext {
         TraceContext {
             trace_id: 0,
-            span_id: 0,
             sampled: false,
         }
     }
@@ -100,14 +105,10 @@ impl TraceContext {
         if !crate::enabled() {
             return TraceContext::none();
         }
-        let n = MINTED.fetch_add(1, Ordering::Relaxed);
-        let lo = splitmix64(process_seed() ^ n);
-        let hi = splitmix64(lo ^ 0xa5a5_a5a5_a5a5_a5a5);
-        let trace_id = (((hi as u128) << 64) | lo as u128).max(1);
+        let (n, trace_id) = next_id();
         let every = trace_sample_every();
         TraceContext {
             trace_id,
-            span_id: splitmix64(hi),
             sampled: every > 0 && n.is_multiple_of(every),
         }
     }
@@ -133,7 +134,8 @@ pub fn parse_trace_id(s: &str) -> Option<u128> {
 pub struct TraceRecord {
     /// The minted trace id.
     pub trace_id: u128,
-    /// Request label (the wire request kind, e.g. `shortlist`).
+    /// Request label (the wire request kind, e.g. `shortlist`; for a
+    /// slow tree without a context, its root span's name).
     pub label: &'static str,
     /// Kept by head sampling.
     pub sampled: bool,

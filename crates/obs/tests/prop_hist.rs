@@ -1,9 +1,9 @@
-//! Property tests for histogram correctness (ISSUE 5 satellite):
-//! sharded recording merges to exactly the single-shard result, and
-//! bucketed percentiles stay within one bucket width of the exact
-//! order statistics of the recorded stream.
+//! Property tests for histogram correctness: split recording merges to
+//! exactly the single-histogram result, and bucketed percentiles stay
+//! within one bucket width of the exact order statistics of the
+//! recorded stream, inside the recorded range.
 
-use hft_obs::hist::{bucket_bounds, bucket_index, Histogram, HistogramShard};
+use hft_obs::hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot};
 use proptest::prelude::*;
 
 /// Value streams spanning the interesting ranges: exact unit buckets,
@@ -21,36 +21,33 @@ fn values() -> impl Strategy<Value = Vec<u64>> {
 }
 
 proptest! {
-    /// Splitting a stream across shards and merging — in either
-    /// direction (shard→shard or shards→atomic histogram) — yields the
-    /// same snapshot as recording everything into one place.
+    /// Splitting a stream across parts (some of them empty, when
+    /// there are more parts than values) and merging yields the same
+    /// histogram as `Histogram::record` of the whole stream.
     #[test]
-    fn merged_shards_equal_single_shard(vals in values(), nshards in 1usize..8) {
-        let mut single = HistogramShard::new();
-        let mut shards = vec![HistogramShard::new(); nshards];
+    fn merged_parts_equal_single_histogram(vals in values(), nparts in 1usize..8) {
+        let mut parts = vec![HistogramSnapshot::new(); nparts];
         let atomic = Histogram::new();
         for (i, &v) in vals.iter().enumerate() {
-            single.record(v);
-            shards[i % nshards].record(v);
+            atomic.record(v);
+            parts[i % nparts].record(v);
         }
-        let mut merged = HistogramShard::new();
-        for s in &shards {
-            merged.merge(s);
-            atomic.merge_shard(s);
+        parts.push(HistogramSnapshot::new());
+        let mut merged = HistogramSnapshot::new();
+        for p in &parts {
+            merged.merge(p);
         }
-        prop_assert_eq!(merged.snapshot(), single.snapshot());
-        prop_assert_eq!(atomic.snapshot(), single.snapshot());
+        prop_assert_eq!(merged, atomic.snapshot());
     }
 
     /// The bucketed nearest-rank percentile lands inside the bucket of
     /// the exact order statistic — i.e. within one bucket width.
     #[test]
     fn percentiles_within_one_bucket_width(vals in values()) {
-        let mut shard = HistogramShard::new();
+        let mut snap = HistogramSnapshot::new();
         for &v in &vals {
-            shard.record(v);
+            snap.record(v);
         }
-        let snap = shard.snapshot();
         let mut sorted = vals.clone();
         sorted.sort_unstable();
         for q in [0.5f64, 0.9, 0.99, 0.999] {
@@ -62,6 +59,11 @@ proptest! {
                 lo <= est && est <= hi,
                 "q={} exact={} (bucket [{}, {}]) estimate={}",
                 q, exact, lo, hi, est
+            );
+            prop_assert!(
+                snap.min <= est && est <= snap.max,
+                "q={} estimate={} outside [{}, {}]",
+                q, est, snap.min, snap.max
             );
         }
     }

@@ -1,19 +1,25 @@
-//! Span-nesting integration test (ISSUE 5 satellite): a forced slow
-//! request must produce a well-formed tree — no orphaned or
-//! negative-duration spans — and exactly one slow-query-log entry.
+//! Span-tree retention: the flight recorder keeps a finished tree
+//! exactly when it was head-sampled or slow, exactly once, and a forced
+//! slow request yields a well-formed tree — no orphaned or
+//! negative-duration spans.
 //!
 //! Runs as its own test binary because it owns the process-global
-//! tracing knobs (slow threshold, sampling stride, kill switch).
+//! tracing knobs (slow threshold, kill switch) and the flight recorder.
 
 use hft_obs::{
-    set_enabled, set_sample_every, set_slow_threshold_ns, span, take_samples, take_slow_queries,
+    clear_traces, set_enabled, set_slow_threshold_ns, span, trace_root, trace_snapshot,
+    TraceContext, TraceRecord,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// The canonical request shape from the ISSUE:
-/// `serve.request > singleflight.wait > session.networks > route.apa`.
-fn run_request(slow: bool) {
-    let _root = span("serve.request");
+/// The canonical request shape:
+/// `serve.request > singleflight.wait > session.networks > route.apa`,
+/// opened under `ctx` when given (a traced root labelled `geographic`).
+fn run_request(ctx: Option<TraceContext>, slow: bool) {
+    let _root = match ctx {
+        Some(ctx) => trace_root("serve.request", "geographic", ctx, Instant::now()),
+        None => span("serve.request"),
+    };
     {
         let _wait = span("singleflight.wait");
         if slow {
@@ -29,33 +35,78 @@ fn run_request(slow: bool) {
     }
 }
 
-// One test function: the tracing knobs (threshold, stride, kill
-// switch) are process-global, so concurrent #[test]s would race on
+fn traced(trace_id: u128, sampled: bool) -> Option<TraceContext> {
+    Some(TraceContext { trace_id, sampled })
+}
+
+fn kept() -> Vec<TraceRecord> {
+    trace_snapshot(usize::MAX)
+}
+
+fn slow_count() -> u64 {
+    hft_obs::global().counter("obs.slow_queries").value()
+}
+
+// One test function: the tracing knobs (threshold, kill switch) and the
+// recorder are process-global, so concurrent #[test]s would race on
 // them.
 #[test]
-fn slow_request_yields_one_well_formed_tree() {
-    take_slow_queries();
-    set_sample_every(0);
-
-    // Fast requests below the threshold never reach the slow log.
+fn recorder_keeps_sampled_and_slow_trees_exactly_once() {
+    clear_traces();
     set_slow_threshold_ns(u64::MAX);
+
+    // Fast trees that were not head-sampled are not kept.
     for _ in 0..10 {
-        run_request(false);
+        run_request(None, false);
     }
-    assert!(take_slow_queries().is_empty(), "no slow entries expected");
+    run_request(traced(42, false), false);
+    assert!(kept().is_empty(), "fast unsampled trees are dropped");
 
-    // One forced slow request -> exactly one slow-log entry.
+    // A head-sampled fast traced tree is kept exactly once.
+    run_request(traced(7, true), false);
+    let recs = kept();
+    assert_eq!(recs.len(), 1, "{recs:?}");
+    assert_eq!(recs[0].trace_id, 7);
+    assert_eq!(recs[0].label, "geographic");
+    assert!(recs[0].sampled && !recs[0].slow);
+    assert_eq!(recs[0].tree.spans.len(), 4);
+    recs[0]
+        .tree
+        .check()
+        .expect("sampled trees are well-formed too");
+
+    // A slow traced tree is kept exactly once, marked slow; two slow
+    // untraced trees are kept under fresh, distinct, nonzero ids with
+    // their root span's name as the label. Each bumps obs.slow_queries.
+    clear_traces();
+    let slow_before = slow_count();
     set_slow_threshold_ns(1_000_000); // 1 ms, far below the forced 10 ms
-    run_request(true);
+    run_request(traced(8, false), true);
+    run_request(None, true);
+    run_request(None, true);
     set_slow_threshold_ns(u64::MAX);
-    let slow = take_slow_queries();
-    assert_eq!(slow.len(), 1, "exactly one slow-query-log entry");
-    let tree = &slow[0];
+    assert_eq!(slow_count() - slow_before, 3, "every slow root is counted");
+    let recs = kept();
+    assert_eq!(recs.len(), 3, "{recs:?}");
+    assert!(recs.iter().all(|r| r.slow));
+    let traced_slow: Vec<&TraceRecord> = recs.iter().filter(|r| r.trace_id == 8).collect();
+    assert_eq!(traced_slow.len(), 1, "the slow traced tree is kept once");
+    assert_eq!(traced_slow[0].label, "geographic");
+    assert!(!traced_slow[0].sampled);
+    let untraced: Vec<&TraceRecord> = recs.iter().filter(|r| r.trace_id != 8).collect();
+    assert_eq!(untraced.len(), 2);
+    assert_ne!(untraced[0].trace_id, untraced[1].trace_id, "ids are unique");
+    for rec in &untraced {
+        assert_ne!(rec.trace_id, 0);
+        assert!(!rec.sampled);
+        assert_eq!(rec.label, "serve.request");
+    }
 
     // Well-formed: single root, parents precede children, children
     // nest inside their parent's window (durations are u64, so a
     // negative duration cannot even be represented; `check` verifies
     // the windows are consistent).
+    let tree = &untraced[0].tree;
     tree.check().expect("tree must be well-formed");
     let names: Vec<&str> = tree.spans.iter().map(|s| s.name).collect();
     assert_eq!(
@@ -72,6 +123,7 @@ fn slow_request_yields_one_well_formed_tree() {
     assert_eq!(tree.spans[2].parent, Some(0));
     assert_eq!(tree.spans[3].parent, Some(2), "route.apa nests in networks");
     assert!(tree.total_ns() >= 10_000_000, "two 5 ms sleeps inside");
+    assert_eq!(untraced[0].total_ns, tree.total_ns());
     assert!(tree.spans[1].dur_ns <= tree.total_ns());
 
     // The rendering indents by depth.
@@ -80,33 +132,17 @@ fn slow_request_yields_one_well_formed_tree() {
     assert!(rendered.contains("\n  singleflight.wait "));
     assert!(rendered.contains("\n    route.apa "));
 
-    // --- Sampling and the kill switch ---
-    take_samples();
-
-    // Sampling stride 1 keeps every completed tree in the thread ring.
-    set_sample_every(1);
-    run_request(false);
-    run_request(false);
-    let samples = take_samples();
-    assert_eq!(samples.len(), 2);
-    for t in &samples {
-        t.check().expect("sampled trees are well-formed too");
-        assert_eq!(t.spans.len(), 4);
-    }
-
-    // Stride 0 disables sampling entirely.
-    set_sample_every(0);
-    run_request(false);
-    assert!(take_samples().is_empty());
-
-    // The kill switch suppresses capture altogether.
-    set_sample_every(1);
+    // The kill switch suppresses capture altogether, sampled or slow.
+    clear_traces();
     set_enabled(false);
-    run_request(false);
+    run_request(traced(9, true), false);
+    set_slow_threshold_ns(0);
+    run_request(None, false);
+    set_slow_threshold_ns(u64::MAX);
     set_enabled(true);
-    assert!(take_samples().is_empty(), "disabled spans record nothing");
+    assert!(kept().is_empty(), "disabled spans record nothing");
 
     // Re-enabled, capture resumes.
-    run_request(false);
-    assert_eq!(take_samples().len(), 1);
+    run_request(traced(10, true), false);
+    assert_eq!(kept().len(), 1);
 }

@@ -110,7 +110,6 @@ fn untraced_and_nested_paths_degrade_gracefully() {
     // An unsampled context records nothing.
     let quiet = TraceContext {
         trace_id: 42,
-        span_id: 7,
         sampled: false,
     };
     {

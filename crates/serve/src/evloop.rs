@@ -160,11 +160,6 @@ impl DriverCx<'_> {
         self.wq.push_back(buf);
     }
 
-    /// Return an unused buffer to the pool.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        self.pool.put(buf);
-    }
-
     /// Stop reading this connection; queued bytes still flush, then the
     /// socket closes.
     pub fn close_after_flush(&mut self) {

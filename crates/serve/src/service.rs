@@ -101,12 +101,6 @@ impl<'a> Service<'a> {
         &self.stats
     }
 
-    /// The latency-race engine (and its caches) pinned to this
-    /// service's corpus generation.
-    pub fn race_engine(&self) -> &RaceEngine {
-        &self.race
-    }
-
     /// The corpus (always present: both constructors supply one).
     fn portal(&self) -> &UlsDatabase {
         self.session

@@ -1,10 +1,11 @@
 //! Slow-query capture on the evented I/O plane: a request served
-//! through the readiness loop's admission queue must land in the global
-//! slow-query log when it exceeds the threshold, with the worker's
-//! `serve.request` root and the backdated `queue.wait` annotation.
+//! through the readiness loop's admission queue must land in the flight
+//! recorder, marked slow, when it exceeds the threshold, with the
+//! worker's `serve.request` root and the backdated `queue.wait`
+//! annotation.
 //!
 //! Lives in its own test binary: it flips the process-global slow
-//! threshold and drains the global slow log.
+//! threshold and clears the process-wide flight recorder.
 
 use hft_corridor::{chicago_nj, generate, GeneratedEcosystem};
 use hft_serve::api::{Request, Response};
@@ -22,7 +23,7 @@ fn evented_plane_files_slow_queries() {
     // sampling stays at its default stride so the capture below is
     // attributable to tail capture alone.
     hft_obs::set_slow_threshold_ns(0);
-    let _ = hft_obs::take_slow_queries();
+    hft_obs::clear_traces();
 
     let eco = eco();
     let service = Service::new(&eco.db);
@@ -47,7 +48,7 @@ fn evented_plane_files_slow_queries() {
             other => panic!("unexpected answer: {other:?}"),
         }
         // Stats bypasses the queue on the evented loop and so must NOT
-        // open a worker root or add a slow-log entry of its own.
+        // open a worker root or add a slow record of its own.
         match client.call(&Request::Stats).expect("stats answer") {
             Response::Stats { .. } => {}
             other => panic!("unexpected stats answer: {other:?}"),
@@ -56,7 +57,11 @@ fn evented_plane_files_slow_queries() {
         handle.join().expect("server thread").expect("clean exit");
     });
 
-    let slow = hft_obs::take_slow_queries();
+    let slow: Vec<hft_obs::SpanTree> = hft_obs::trace_snapshot(usize::MAX)
+        .into_iter()
+        .filter(|r| r.slow)
+        .map(|r| r.tree)
+        .collect();
     assert!(
         !slow.is_empty(),
         "zero threshold must capture the queued request"

@@ -50,9 +50,10 @@
 //! requests are always captured); `trace --connect` pulls the recorded
 //! waterfalls back out. With `--metrics-interval SECS` a background
 //! thread dumps the full telemetry registry every interval — atomically
-//! to `--metrics-out PATH`, or to stderr — and drains the slow-query
-//! log to stderr. Any analysis command accepts `--stats` to print the
-//! session's cache counters as JSON after the run.
+//! to `--metrics-out PATH`, or to stderr — and prints each slow trace
+//! in the flight recorder to stderr once. Any analysis command accepts
+//! `--stats` to print the session's cache counters as JSON after the
+//! run.
 //!
 //! `ingest` renders the generated corpus's full event history as daily
 //! dump files under `--out DIR/dumps`, replays them through the
@@ -658,7 +659,8 @@ fn run_metrics(
 
 /// Background registry dumper for `serve --metrics-interval`: every
 /// `secs`, write the registry JSON to `out` (atomically, via a sibling
-/// temp file) or to stderr, and drain the slow-query log to stderr.
+/// temp file) or to stderr, and print each slow trace the flight
+/// recorder holds to stderr once.
 fn spawn_metrics_dumper(
     secs: u64,
     out: Option<PathBuf>,
@@ -666,12 +668,14 @@ fn spawn_metrics_dumper(
     std::sync::Arc<std::sync::atomic::AtomicBool>,
     std::thread::JoinHandle<()>,
 ) {
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
     let handle = std::thread::spawn(move || {
+        let mut printed = HashSet::new();
         let interval = std::time::Duration::from_secs(secs);
         let tick = std::time::Duration::from_millis(50);
         loop {
@@ -694,13 +698,20 @@ fn spawn_metrics_dumper(
                 }
                 None => eprintln!("metrics: {json}"),
             }
-            for tree in hft_obs::take_slow_queries() {
+            // Print each slow record once; remember only the ids the
+            // recorder still holds, so the set stays bounded.
+            let slow: Vec<_> = hft_obs::trace_snapshot(usize::MAX)
+                .into_iter()
+                .filter(|r| r.slow)
+                .collect();
+            for rec in slow.iter().filter(|r| !printed.contains(&r.trace_id)) {
                 eprintln!(
                     "slow query ({:.1} ms):\n{}",
-                    tree.total_ns() as f64 / 1e6,
-                    tree.render()
+                    rec.total_ns as f64 / 1e6,
+                    rec.tree.render()
                 );
             }
+            printed = slow.iter().map(|r| r.trace_id).collect();
             if stopping {
                 // One final dump on the way out, then exit.
                 return;
